@@ -70,7 +70,7 @@ pub use link_model::LinkModel;
 pub use network::{FlowNetReport, Network, NetworkConfig};
 pub use packet::{Flit, FlitKind, Packet, PacketId};
 pub use router::Router;
-pub use routing::{LinkHealth, LinkKill, RouteTable, RoutingMode};
+pub use routing::{DirSet, LinkHealth, LinkKill, RouteTable, RoutingMode};
 pub use stats::{LinkRecovery, NetworkStats};
 pub use topology::{Direction, Mesh, NodeId};
 pub use traffic::TrafficPattern;

@@ -1,6 +1,6 @@
 //! The cycle-driven network simulator.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,6 +13,13 @@ use crate::{
     Direction, Flit, LinkModel, Mesh, NetworkStats, NodeId, Packet, PacketId, Router,
     TrafficPattern,
 };
+
+/// Index of the channel leaving `node` toward `dir` in
+/// [`Network`]'s channel table: `node * 4 + dir`.
+fn chan_index(node: NodeId, dir: Direction) -> usize {
+    debug_assert!(dir != Direction::Local, "the local port has no channel");
+    usize::from(node.0) * 4 + dir.index()
+}
 
 /// Static configuration of a network instance.
 #[derive(Debug, Clone)]
@@ -53,6 +60,12 @@ struct Lossy {
 /// One unidirectional inter-router channel instance.
 #[derive(Debug)]
 struct Channel {
+    /// Upstream router.
+    from: NodeId,
+    /// Direction the channel leaves `from` in.
+    dir: Direction,
+    /// Downstream router (it receives on `dir.opposite()`).
+    to: NodeId,
     model: LinkModel,
     /// Flits in flight: `(deliver_at_cycle, flit)`.
     in_flight: VecDeque<(u64, Flit)>,
@@ -75,19 +88,6 @@ struct Channel {
 }
 
 impl Channel {
-    fn new(model: LinkModel, downstream_capacity: usize, lossy: Option<Lossy>) -> Self {
-        Channel {
-            model,
-            in_flight: VecDeque::new(),
-            rate_credit: 1.0,
-            buffer_credits: downstream_capacity,
-            last_delivery: 0,
-            state: ChannelState::Up,
-            ever_failed: false,
-            lossy,
-        }
-    }
-
     /// Availability: a failed channel never accepts, a resyncing one
     /// is draining and refuses new work.
     fn is_open(&self) -> bool {
@@ -171,18 +171,13 @@ pub struct Network {
     inject_rate: f64,
     rng: StdRng,
     routers: Vec<Router>,
-    /// Outgoing channel per (node, direction index 0..4).
-    ///
-    /// Iterated in hash order, which is fine *only because* all
-    /// per-channel state (including each lossy channel's own RNG) is
-    /// disjoint — nothing drawn while iterating is shared.
-    channels: HashMap<(u16, usize), Channel>,
+    /// Outgoing channel per `(node, direction)`, at
+    /// [`chan_index`]; `None` where the direction leaves the mesh.
+    channels: Vec<Option<Channel>>,
     inject_q: Vec<VecDeque<Flit>>,
-    packets: HashMap<PacketId, Packet>,
-    /// Accumulated undetected-corruption bit-flip mask per packet.
-    corrupt_xor: HashMap<PacketId, u64>,
-    /// Flow-level content of in-flight packets (flow mode).
-    flow_tags: HashMap<PacketId, FlowTag>,
+    packets: Packets,
+    /// The routers' move buffer, reused every step.
+    moves: Vec<(Direction, Flit)>,
     /// The transport engine (flow mode only).
     flows: Option<FlowEngine>,
     /// The live routing function (used in adaptive mode; rebuilt on
@@ -194,12 +189,59 @@ pub struct Network {
     kill_idx: usize,
     /// Injection is paused until this cycle (reconfiguration epoch).
     inject_frozen_until: u64,
-    /// Packets already counted stranded (static XY leaves a severed
-    /// packet's upstream fragments wedged in place, and a later
-    /// failure must not count the same packet twice).
-    stranded_ids: HashSet<PacketId>,
-    next_packet: u64,
     cycle: u64,
+}
+
+/// What the network tracks about one packet between its creation and
+/// its tail's ejection.
+#[derive(Debug)]
+struct LivePacket {
+    dst: NodeId,
+    inject_cycle: u64,
+    /// Accumulated undetected-corruption bit-flip mask.
+    corrupt_xor: u64,
+    /// Flow-level content (flow mode).
+    tag: Option<FlowTag>,
+}
+
+/// The live packets: one record per packet in a slot, freed slots
+/// reused. A [`PacketId`] packs `generation << 32 | slot`, and freeing
+/// a slot bumps its generation, so the id a stale flit still carries
+/// (static XY leaves a stranded packet's fragments wedged in place)
+/// never names the slot's next packet.
+#[derive(Debug, Default)]
+struct Packets {
+    slots: Vec<(u32, Option<LivePacket>)>,
+    free: Vec<u32>,
+}
+
+impl Packets {
+    fn insert(&mut self, p: LivePacket) -> PacketId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            (self.slots.len() - 1) as u32
+        });
+        let (generation, rec) = &mut self.slots[slot as usize];
+        *rec = Some(p);
+        PacketId(u64::from(*generation) << 32 | u64::from(slot))
+    }
+
+    fn get_mut(&mut self, id: PacketId) -> Option<&mut LivePacket> {
+        let (generation, rec) = &mut self.slots[(id.0 as u32) as usize];
+        (u64::from(*generation) == id.0 >> 32).then_some(rec.as_mut()).flatten()
+    }
+
+    /// Retires `id`; `None` if it was already retired.
+    fn remove(&mut self, id: PacketId) -> Option<LivePacket> {
+        let slot = id.0 as u32;
+        let (generation, rec) = &mut self.slots[slot as usize];
+        if u64::from(*generation) != id.0 >> 32 {
+            return None;
+        }
+        *generation = generation.wrapping_add(1);
+        self.free.push(slot);
+        rec.take()
+    }
 }
 
 impl Network {
@@ -226,7 +268,7 @@ impl Network {
             },
             None => cfg.link,
         };
-        let mut channels = HashMap::new();
+        let mut channels: Vec<Option<Channel>> = (0..mesh.nodes() * 4).map(|_| None).collect();
         for (n, dir) in mesh.directed_channels() {
             let lossy = cfg.faults.map(|fc| Lossy {
                 dice: FaultDice::new(fc, seed, n.0, dir.index()),
@@ -234,16 +276,27 @@ impl Network {
                 head_resyncs: 0,
                 counts: RecoveryCounts::default(),
             });
-            channels.insert(
-                (n.0, dir.index()),
-                Channel::new(model, cfg.input_queue_flits, lossy),
-            );
+            let to = mesh.neighbor(n, dir).expect("directed channels stay on the mesh");
+            channels[chan_index(n, dir)] = Some(Channel {
+                from: n,
+                dir,
+                to,
+                model,
+                in_flight: VecDeque::new(),
+                rate_credit: 1.0,
+                buffer_credits: cfg.input_queue_flits,
+                last_delivery: 0,
+                state: ChannelState::Up,
+                ever_failed: false,
+                lossy,
+            });
         }
         let mut kills = cfg.link_kills.clone();
         kills.sort_by_key(|k| (k.cycle, k.node.0, k.dir.index()));
         for k in &kills {
             assert!(
-                channels.contains_key(&(k.node.0, k.dir.index())),
+                k.dir != Direction::Local
+                    && channels.get(chan_index(k.node, k.dir)).is_some_and(Option::is_some),
                 "scheduled kill of a channel that does not exist: {} {:?}",
                 k.node,
                 k.dir
@@ -258,16 +311,13 @@ impl Network {
             routers,
             channels,
             inject_q: vec![VecDeque::new(); nodes],
-            packets: HashMap::new(),
-            corrupt_xor: HashMap::new(),
-            flow_tags: HashMap::new(),
+            packets: Packets::default(),
+            moves: Vec::with_capacity(5),
             flows: None,
             routes: RouteTable::new(mesh),
             kills,
             kill_idx: 0,
             inject_frozen_until: 0,
-            stranded_ids: HashSet::new(),
-            next_packet: 0,
             cycle: 0,
         }
     }
@@ -378,10 +428,10 @@ impl Network {
     }
 
     /// End-of-run bookkeeping: sort latencies once (quantiles index
-    /// directly afterwards) and collect the per-channel recovery rows
-    /// in deterministic `(node, direction)` order — rows exist for
-    /// every channel, all-zero when nothing happened, so loss-free
-    /// and `p = 0` runs compare equal field-for-field.
+    /// directly afterwards) and collect the per-channel recovery rows,
+    /// in `(node, direction)` order as the channel table holds them —
+    /// rows exist for every channel, all-zero when nothing happened,
+    /// so loss-free and `p = 0` runs compare equal field-for-field.
     fn finalize(&self, stats: &mut NetworkStats) {
         stats.finalize_latencies();
         // Flits still queued anywhere in the fabric (conservation).
@@ -390,69 +440,71 @@ impl Network {
             .iter()
             .map(|r| r.occupancy() as u64)
             .sum::<u64>()
-            + self.channels.values().map(|c| c.in_flight.len() as u64).sum::<u64>()
+            + self.channels.iter().flatten().map(|c| c.in_flight.len() as u64).sum::<u64>()
             + self.inject_q.iter().map(|q| q.len() as u64).sum::<u64>();
-        let mut rows: Vec<LinkRecovery> = self
+        stats.link_recovery = self
             .channels
             .iter()
-            .map(|((node, diri), ch)| {
+            .flatten()
+            .map(|ch| {
                 let mut counts = ch.lossy.as_ref().map(|l| l.counts).unwrap_or_default();
                 // Scheduled kills fail channels without fault
                 // machinery, and a retrained channel no longer *is*
                 // Failed — the sticky bit surfaces both in the
                 // recovery rows.
                 counts.failed = counts.failed || ch.ever_failed;
-                LinkRecovery { node: NodeId(*node), dir: Direction::ALL[*diri], counts }
+                LinkRecovery { node: ch.from, dir: ch.dir, counts }
             })
             .collect();
-        rows.sort_by_key(|r| (r.node, r.dir.index()));
-        stats.link_recovery = rows;
         stats.finalize_recovery();
     }
 
     /// Channels that look wedged: permanently failed, or holding
-    /// flits without delivering for a whole watchdog interval.
+    /// flits without delivering for a whole watchdog interval; in
+    /// `(node, direction)` order.
     fn stalled_channels(&self, interval: u64) -> Vec<StalledChannel> {
         let now = self.cycle;
-        let mut rows: Vec<StalledChannel> = self
-            .channels
+        self.channels
             .iter()
-            .filter_map(|((node, diri), ch)| {
+            .flatten()
+            .filter_map(|ch| {
                 let state = ch.state.label();
                 let queued = ch.in_flight.len();
                 let wedged = state == "failed"
                     || (queued > 0 && now.saturating_sub(ch.last_delivery) >= interval);
-                wedged.then(|| StalledChannel {
-                    from: NodeId(*node),
-                    dir: Direction::ALL[*diri],
+                wedged.then_some(StalledChannel {
+                    from: ch.from,
+                    dir: ch.dir,
                     state,
                     queued,
                     last_delivery: ch.last_delivery,
                 })
             })
-            .collect();
-        rows.sort_by_key(|r| (r.from, r.dir.index()));
-        rows
+            .collect()
     }
 
     /// Creates a packet at `from` bound for `to` and feeds its flits
     /// into the source queue.
     fn spawn_packet(&mut self, from: NodeId, to: NodeId, len_flits: u32, tag: Option<FlowTag>) {
-        let pkt = Packet {
-            id: PacketId(self.next_packet),
-            src: from,
+        let id = self.packets.insert(LivePacket {
             dst: to,
-            len_flits,
             inject_cycle: self.cycle,
-        };
-        self.next_packet += 1;
-        for f in pkt.flits() {
-            self.inject_q[from.0 as usize].push_back(f);
+            corrupt_xor: 0,
+            tag,
+        });
+        let pkt = Packet { id, src: from, dst: to, len_flits, inject_cycle: self.cycle };
+        self.inject_q[from.0 as usize].extend((0..len_flits).map(|i| pkt.flit(i)));
+    }
+
+    /// Retires the stranded packets, counting each once: static XY
+    /// leaves a severed packet's fragments wedged in place, and a
+    /// later failure can doom the same packet again.
+    fn strand(&mut self, doomed: &BTreeSet<PacketId>, stats: &mut NetworkStats) {
+        for &pid in doomed {
+            if self.packets.remove(pid).is_some() {
+                stats.stranded_packets += 1;
+            }
         }
-        if let Some(tag) = tag {
-            self.flow_tags.insert(pkt.id, tag);
-        }
-        self.packets.insert(pkt.id, pkt);
     }
 
     /// One reconfiguration epoch around the channels that entered
@@ -482,13 +534,11 @@ impl Network {
     /// service.
     const RETRAIN_DRAIN: u64 = 256;
 
-    fn handle_failures(&mut self, mut newly: Vec<(u16, usize)>, stats: &mut NetworkStats) {
-        newly.sort_unstable();
-        newly.dedup();
+    fn handle_failures(&mut self, newly: &[usize], stats: &mut NetworkStats) {
         // Drain the dead wires.
         let mut doomed: BTreeSet<PacketId> = BTreeSet::new();
-        for &(node, diri) in &newly {
-            let ch = self.channels.get_mut(&(node, diri)).expect("failed channel exists");
+        for &ci in newly {
+            let ch = self.channels[ci].as_mut().expect("failed channel exists");
             for (_, f) in ch.in_flight.drain(..) {
                 stats.stranded_flits += 1;
                 doomed.insert(f.packet);
@@ -498,11 +548,7 @@ impl Network {
             // Static XY: no reconfiguration. Upstream fragments stay
             // wedged (the pre-reroute livelock behaviour, preserved
             // and pinned by test); only the accounting is new.
-            for pid in doomed {
-                if self.stranded_ids.insert(pid) {
-                    stats.stranded_packets += 1;
-                }
-            }
+            self.strand(&doomed, stats);
             return;
         }
         // Every wormhole lock held at the epoch boundary was granted
@@ -534,8 +580,9 @@ impl Network {
         let mut failed: BTreeSet<(u16, u8)> = self
             .channels
             .iter()
-            .filter(|(_, ch)| matches!(ch.state, ChannelState::Failed))
-            .map(|(&(n, d), _)| (n, d as u8))
+            .flatten()
+            .filter(|ch| matches!(ch.state, ChannelState::Failed))
+            .map(|ch| (ch.from.0, ch.dir.index() as u8))
             .collect();
         // Last-resort retrain: up*/down* routes every pair only while
         // the surviving directed graph keeps a legal path between all
@@ -569,9 +616,8 @@ impl Network {
             revived.push(c);
         }
         for &(node, diri) in &revived {
-            let ch = self
-                .channels
-                .get_mut(&(node, usize::from(diri)))
+            let ch = self.channels[chan_index(NodeId(node), Direction::ALL[usize::from(diri)])]
+                .as_mut()
                 .expect("revived channel exists");
             ch.state = ChannelState::Resyncing { until: self.cycle + Self::RETRAIN_DRAIN };
             if let Some(l) = &mut ch.lossy {
@@ -580,7 +626,6 @@ impl Network {
             }
             stats.retrained_links += 1;
         }
-        let mesh = self.cfg.mesh;
         for (idx, r) in self.routers.iter().enumerate() {
             let at = NodeId(idx as u16);
             for (in_port, f) in r.queued_heads() {
@@ -589,12 +634,10 @@ impl Network {
                 }
             }
         }
-        for (&(node, diri), ch) in &self.channels {
-            let dir = Direction::ALL[diri];
-            let to = mesh.neighbor(NodeId(node), dir).expect("channel to nowhere");
+        for ch in self.channels.iter().flatten() {
             for (_, f) in &ch.in_flight {
                 if f.is_head()
-                    && self.routes.permitted(f.src, to, dir.opposite(), f.dst).is_empty()
+                    && self.routes.permitted(f.src, ch.to, ch.dir.opposite(), f.dst).is_empty()
                 {
                     doomed.insert(f.packet);
                 }
@@ -619,7 +662,7 @@ impl Network {
         for r in &mut self.routers {
             stats.stranded_flits += r.purge(&doomed);
         }
-        for ch in self.channels.values_mut() {
+        for ch in self.channels.iter_mut().flatten() {
             let before = ch.in_flight.len();
             ch.in_flight.retain(|(_, f)| !doomed.contains(&f.packet));
             stats.stranded_flits += (before - ch.in_flight.len()) as u64;
@@ -629,12 +672,7 @@ impl Network {
             q.retain(|f| !doomed.contains(&f.packet));
             stats.stranded_flits += (before - q.len()) as u64;
         }
-        stats.stranded_packets += doomed.len() as u64;
-        for pid in &doomed {
-            self.packets.remove(pid);
-            self.corrupt_xor.remove(pid);
-            self.flow_tags.remove(pid);
-        }
+        self.strand(&doomed, stats);
         // Open the reconfiguration window (the table itself was
         // rebuilt above, before the routability sweep).
         stats.reconfig_epochs += 1;
@@ -650,28 +688,24 @@ impl Network {
         let now = self.cycle;
 
         // 0. Scheduled channel deaths due this cycle.
-        let mut newly_failed: Vec<(u16, usize)> = Vec::new();
+        let mut newly_failed: Vec<usize> = Vec::new();
         while self.kill_idx < self.kills.len() && self.kills[self.kill_idx].cycle <= now {
             let k = self.kills[self.kill_idx];
             self.kill_idx += 1;
-            let ch = self
-                .channels
-                .get_mut(&(k.node.0, k.dir.index()))
-                .expect("kills validated at construction");
+            let ci = chan_index(k.node, k.dir);
+            let ch = self.channels[ci].as_mut().expect("kills validated at construction");
             if !matches!(ch.state, ChannelState::Failed) {
                 ch.state = ChannelState::Failed;
                 ch.ever_failed = true;
-                newly_failed.push((k.node.0, k.dir.index()));
+                newly_failed.push(ci);
             }
         }
 
         // 1. Channel delivery (in-order, blocked by downstream space),
         //    with the fault process rolled per delivery attempt.
-        for ((node, diri), ch) in &mut self.channels {
-            let from = NodeId(*node);
-            let dir = Direction::ALL[*diri];
-            let to = mesh.neighbor(from, dir).expect("channel to nowhere");
-            let in_port = dir.opposite();
+        for ch in self.channels.iter_mut().flatten() {
+            let to = ch.to.0 as usize;
+            let in_port = ch.dir.opposite();
             // Expire transient states.
             let mut open = true;
             match ch.state {
@@ -692,7 +726,7 @@ impl Network {
             }
             while open {
                 let Some(&(at, flit)) = ch.in_flight.front() else { break };
-                if at > now || self.routers[to.0 as usize].free_slots(in_port) == 0 {
+                if at > now || self.routers[to].free_slots(in_port) == 0 {
                     break;
                 }
                 let upset = match &mut ch.lossy {
@@ -708,10 +742,15 @@ impl Network {
                             let l = ch.lossy.as_mut().expect("corruption needs fault state");
                             l.counts.errors += 1;
                             l.counts.undetected += 1;
-                            *self.corrupt_xor.entry(flit.packet).or_insert(0) ^= mask;
+                            // A stranded packet's wedged fragments
+                            // outlive its record; their corruption
+                            // can reach no one.
+                            if let Some(p) = self.packets.get_mut(flit.packet) {
+                                p.corrupt_xor ^= mask;
+                            }
                         }
                         ch.in_flight.pop_front();
-                        self.routers[to.0 as usize].accept(in_port, flit);
+                        self.routers[to].accept(in_port, flit);
                         ch.last_delivery = now;
                         if let Some(l) = &mut ch.lossy {
                             l.consec = 0;
@@ -747,7 +786,7 @@ impl Network {
                                 ch.state = ChannelState::Failed;
                                 ch.ever_failed = true;
                                 l.counts.failed = true;
-                                newly_failed.push((*node, *diri));
+                                newly_failed.push(chan_index(ch.from, ch.dir));
                             } else if l.head_resyncs >= cfg.degrade_after {
                                 l.counts.degrades += 1;
                                 ch.state = ChannelState::Degraded {
@@ -768,7 +807,7 @@ impl Network {
         //     channel that died this cycle, then (adaptive mode)
         //     rebuild the route table and pause injection.
         if !newly_failed.is_empty() {
-            self.handle_failures(newly_failed, stats);
+            self.handle_failures(&newly_failed, stats);
         }
 
         // 2. Injection: flow senders or the open-loop pattern.
@@ -821,20 +860,20 @@ impl Network {
         //    adaptive table biased by per-channel health and queue
         //    depth (the link monitors' view).
         let adaptive = self.cfg.routing.is_adaptive();
+        let mut moves = std::mem::take(&mut self.moves);
         for n in mesh.node_ids() {
             let idx = n.0 as usize;
             // Split borrows: collect sendability and health first.
             let mut can = [true; 5];
             let mut score = [0u32; 5];
-            for dir in Direction::CARDINAL {
-                let ch = self.channels.get(&(n.0, dir.index()));
-                can[dir.index()] = ch.is_some_and(Channel::can_accept);
-                score[dir.index()] = ch.map_or(LinkHealth::Failed.penalty(), |c| {
+            for (d, ch) in self.channels[idx * 4..idx * 4 + 4].iter().enumerate() {
+                can[d] = ch.as_ref().is_some_and(Channel::can_accept);
+                score[d] = ch.as_ref().map_or(LinkHealth::Failed.penalty(), |c| {
                     c.health().penalty() + c.in_flight.len() as u32
                 });
             }
             let routes = &self.routes;
-            let moves = self.routers[idx].step(
+            self.routers[idx].step(
                 |in_port, flit| {
                     if adaptive {
                         routes.choose(flit.src, n, in_port, flit.dst, |d| score[d.index()])
@@ -843,17 +882,15 @@ impl Network {
                     }
                 },
                 |d| can[d.index()],
+                &mut moves,
             );
-            for (out, flit) in moves {
+            for &(out, flit) in &moves {
                 if out == Direction::Local {
                     // Ejected at the destination core.
                     if flit.is_tail() {
-                        let pkt = self
-                            .packets
-                            .remove(&flit.packet)
-                            .expect("tail of unknown packet");
+                        let pkt = self.packets.remove(flit.packet).expect("tail of unknown packet");
                         debug_assert_eq!(pkt.dst, n, "packet ejected at wrong node");
-                        let xor = self.corrupt_xor.remove(&flit.packet).unwrap_or(0);
+                        let xor = pkt.corrupt_xor;
                         if measuring {
                             let lat = now + 1 - pkt.inject_cycle;
                             stats.delivered_packets += 1;
@@ -864,7 +901,7 @@ impl Network {
                                 stats.corrupt_packets += 1;
                             }
                         }
-                        if let Some(tag) = self.flow_tags.remove(&flit.packet) {
+                        if let Some(tag) = pkt.tag {
                             let engine = self.flows.as_mut().expect("tagged packet needs flows");
                             if let Some(ack) = engine.on_delivery(n, tag, xor, now) {
                                 self.spawn_packet(ack.from, ack.to, 1, Some(ack.tag));
@@ -880,25 +917,21 @@ impl Network {
                         stats.delivered_flits += 1;
                     }
                 } else {
-                    let ch = self
-                        .channels
-                        .get_mut(&(n.0, out.index()))
-                        .expect("send over missing channel");
-                    ch.send(now, flit);
+                    self.channels[chan_index(n, out)]
+                        .as_mut()
+                        .expect("send over missing channel")
+                        .send(now, flit);
                 }
             }
         }
+        self.moves = moves;
 
         // 4. Return buffer credits for flits the routers consumed: the
         //    credit view is refreshed from actual occupancy (simpler
         //    and equivalent to credit return signalling at this
         //    abstraction level).
-        for ((node, diri), ch) in &mut self.channels {
-            let from = NodeId(*node);
-            let dir = Direction::ALL[*diri];
-            let to = mesh.neighbor(from, dir).expect("channel to nowhere");
-            ch.buffer_credits =
-                self.routers[to.0 as usize].free_slots(dir.opposite());
+        for ch in self.channels.iter_mut().flatten() {
+            ch.buffer_credits = self.routers[ch.to.0 as usize].free_slots(ch.dir.opposite());
         }
 
         self.cycle += 1;
@@ -1246,6 +1279,76 @@ mod tests {
         );
         assert_eq!(report.net.reconfig_epochs, 0, "XY never reconfigures");
         assert!(report.net.residual_flits > 0, "wedged flits stay in the fabric");
+    }
+
+    #[test]
+    fn recovery_and_stall_rows_come_out_in_node_direction_order() {
+        // Kills scheduled out of (node, direction) order: the rows
+        // still follow the channel table's layout, with no sort.
+        let mesh = Mesh::new(4, 4);
+        let mut kills = LinkKill::both_ways(&mesh, 100, NodeId(9), Direction::South).to_vec();
+        kills.extend(kill_row0(100));
+        kills.push(LinkKill { cycle: 100, node: NodeId(6), dir: Direction::West });
+        let cfg = NetworkConfig { link_kills: kills, ..base_cfg(LinkModel::ideal()) };
+        let mut net = Network::with_flows(cfg, &row0_flows(), 9);
+        let report = net.run_flows(300_000);
+        let key = |node: NodeId, dir: Direction| (node, dir.index());
+        let rows = &report.net.link_recovery;
+        assert_eq!(rows.len(), 48);
+        assert!(rows.windows(2).all(|w| key(w[0].node, w[0].dir) < key(w[1].node, w[1].dir)));
+        assert!(report.livelocked, "XY starves behind the dead row-0 link");
+        for stall in &report.stalls {
+            let chans = &stall.stalled_channels;
+            assert!(chans.windows(2).all(|w| key(w[0].from, w[0].dir) < key(w[1].from, w[1].dir)));
+        }
+        let last = report.stalls.last().expect("livelock must come with a report");
+        assert!(
+            last.stalled_channels.iter().filter(|c| c.state == "failed").count() == 5,
+            "all five dead channels named: {:?}",
+            last.stalled_channels
+        );
+    }
+
+    #[test]
+    fn stranded_packets_leave_the_slab_in_both_routing_modes() {
+        // Static XY never purges a severed packet's wedged fragments,
+        // but its record is retired all the same: the slab holds
+        // exactly the packets still in flight. A storm that kills
+        // channels under a stuck head always strands flits.
+        let faults = ChannelFaults::new(
+            ErrorProcess::GilbertElliott {
+                p_good: 0.0,
+                p_bad: 1.0,
+                good_to_bad: 0.01,
+                bad_to_good: 0.001,
+            },
+            ChannelProtection::Crc8,
+        )
+        .with_permanent_failure(2);
+        for routing in [RoutingMode::XyStatic, RoutingMode::adaptive()] {
+            let cfg =
+                NetworkConfig { faults: Some(faults), routing, ..base_cfg(LinkModel::ideal()) };
+            let mut net = Network::new(cfg, TrafficPattern::UniformRandom, 0.1, 31);
+            let stats = net.run(10_000, 0);
+            assert!(stats.stranded_packets > 0, "{routing:?}: the storm must strand packets");
+            let live = net.packets.slots.iter().filter(|(_, p)| p.is_some()).count() as u64;
+            assert_eq!(live, stats.in_flight, "{routing:?}");
+            assert_eq!(net.packets.slots.len() - net.packets.free.len(), live as usize);
+        }
+    }
+
+    #[test]
+    fn packet_ids_of_retired_slots_go_stale() {
+        let rec = || LivePacket { dst: NodeId(0), inject_cycle: 0, corrupt_xor: 0, tag: None };
+        let mut slab = Packets::default();
+        let a = slab.insert(rec());
+        assert!(slab.remove(a).is_some());
+        let b = slab.insert(rec());
+        assert_ne!(a, b, "a reused slot gets a fresh id");
+        assert_eq!(slab.slots.len(), 1, "the freed slot was reused");
+        assert!(slab.get_mut(a).is_none(), "a stale id resolves to nothing");
+        assert!(slab.remove(a).is_none());
+        assert!(slab.get_mut(b).is_some());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::NodeId;
 
-/// Unique packet identifier.
+/// Packet identifier, unique among the packets in flight. A network
+/// packs a slot and a generation into it, so the id of a retired
+/// packet never names a later one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct PacketId(pub u64);
@@ -60,17 +62,18 @@ impl Packet {
     /// Panics if the packet has zero length.
     pub fn flits(&self) -> Vec<Flit> {
         assert!(self.len_flits >= 1, "packet must have at least one flit");
-        (0..self.len_flits)
-            .map(|i| {
-                let kind = match (i, self.len_flits) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (i, n) if i + 1 == n => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit { packet: self.id, kind, src: self.src, dst: self.dst, seq: i }
-            })
-            .collect()
+        (0..self.len_flits).map(|i| self.flit(i)).collect()
+    }
+
+    /// Flit `seq` of the packet (0 = head).
+    pub(crate) fn flit(&self, seq: u32) -> Flit {
+        let kind = match (seq, self.len_flits) {
+            (0, 1) => FlitKind::HeadTail,
+            (0, _) => FlitKind::Head,
+            (i, n) if i + 1 == n => FlitKind::Tail,
+            _ => FlitKind::Body,
+        };
+        Flit { packet: self.id, kind, src: self.src, dst: self.dst, seq }
     }
 }
 

@@ -10,7 +10,7 @@ use crate::{Direction, Flit, PacketId};
 /// the router itself holds no routing policy), round-robin output
 /// arbitration, and wormhole locking (an output granted to a packet
 /// stays granted until its tail passes).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Router {
     node: crate::NodeId,
     inputs: [VecDeque<Flit>; 5],
@@ -68,22 +68,34 @@ impl Router {
         q.push_back(flit);
     }
 
-    /// Arbitration + switch traversal for one cycle: returns up to one
-    /// flit per output port as `(output, flit)`.
+    /// Arbitration + switch traversal for one cycle: writes up to one
+    /// flit per output port into `moves` as `(output, flit)` (the
+    /// buffer is cleared first, so callers can reuse it).
     ///
     /// `route(in_port, head)` is the single routing decision point: it
     /// names the output the head flit (which arrived on `in_port`)
     /// must take, or `None` if the destination is currently
     /// unroutable (the head waits; the flow watchdog names persistent
-    /// cases). `can_send(output)` tells the router whether the
+    /// cases). It must not change its answer within one call to
+    /// `step`: each queued head is routed at most once per step, and
+    /// the answer is reused for every output the head is weighed
+    /// against. `can_send(output)` tells the router whether the
     /// downstream channel can accept a flit this cycle (`Local`
     /// ejection is always possible).
-    pub fn step<R, F>(&mut self, mut route: R, mut can_send: F) -> Vec<(Direction, Flit)>
-    where
+    pub fn step<R, F>(
+        &mut self,
+        mut route: R,
+        mut can_send: F,
+        moves: &mut Vec<(Direction, Flit)>,
+    ) where
         R: FnMut(Direction, &Flit) -> Option<Direction>,
         F: FnMut(Direction) -> bool,
     {
-        let mut moves = Vec::new();
+        moves.clear();
+        // The route of the flit now at the front of each input, once
+        // asked; cleared when that flit leaves, since a head queued
+        // behind it may reach the front within the same step.
+        let mut routed: [Option<Option<Direction>>; 5] = [None; 5];
         for out in Direction::ALL {
             let oi = out.index();
             // Grant the output if free: round-robin over inputs whose
@@ -94,25 +106,22 @@ impl Router {
                     if ii == oi && out != Direction::Local {
                         continue; // no U-turns
                     }
-                    if let Some(head) = self.inputs[ii].front() {
-                        // An adaptive route may prefer a different
-                        // output each cycle as queue depths shift; a
-                        // packet that already owns an output must not
-                        // be granted a second one, or the worm splits
-                        // across outputs and the abandoned lock is
-                        // orphaned forever.
-                        let already_owns = self
-                            .output_owner
-                            .iter()
-                            .any(|o| o.is_some_and(|(_, p)| p == head.packet));
-                        if head.is_head()
-                            && !already_owns
-                            && route(Direction::ALL[ii], head) == Some(out)
-                        {
-                            self.output_owner[oi] = Some((ii, head.packet));
-                            self.rr[oi] = (ii + 1) % 5;
-                            break;
-                        }
+                    let Some(head) = self.inputs[ii].front() else { continue };
+                    // An adaptive route may prefer a different output
+                    // each cycle as queue depths shift; a packet that
+                    // already owns an output must not be granted a
+                    // second one, or the worm splits across outputs
+                    // and the abandoned lock is orphaned forever.
+                    let already_owns =
+                        self.output_owner.iter().any(|o| o.is_some_and(|(_, p)| p == head.packet));
+                    if head.is_head()
+                        && !already_owns
+                        && *routed[ii].get_or_insert_with(|| route(Direction::ALL[ii], head))
+                            == Some(out)
+                    {
+                        self.output_owner[oi] = Some((ii, head.packet));
+                        self.rr[oi] = (ii + 1) % 5;
+                        break;
                     }
                 }
             }
@@ -132,13 +141,13 @@ impl Router {
                 }
                 let flit = *front;
                 self.inputs[ii].pop_front();
+                routed[ii] = None;
                 if flit.is_tail() {
                     self.output_owner[oi] = None;
                 }
                 moves.push((out, flit));
             }
         }
-        moves
     }
 
     /// Reconfiguration surgery: removes every queued flit of the
@@ -191,6 +200,17 @@ mod tests {
         Packet { id: PacketId(id), src: NodeId(0), dst, len_flits: len, inject_cycle: 0 }.flits()
     }
 
+    /// One step into a fresh buffer.
+    fn step<R, F>(r: &mut Router, route: R, can_send: F) -> Vec<(Direction, Flit)>
+    where
+        R: FnMut(Direction, &Flit) -> Option<Direction>,
+        F: FnMut(Direction) -> bool,
+    {
+        let mut moves = Vec::new();
+        r.step(route, can_send, &mut moves);
+        moves
+    }
+
     /// The pre-reroute behaviour: static XY from the mesh.
     fn xy(mesh: Mesh, node: NodeId) -> impl FnMut(Direction, &Flit) -> Option<Direction> {
         move |_in, f| Some(mesh.route_xy(node, f.dst))
@@ -206,7 +226,7 @@ mod tests {
         }
         let mut all = Vec::new();
         for _ in 0..3 {
-            all.extend(r.step(xy(mesh, node), |_| true));
+            all.extend(step(&mut r, xy(mesh, node), |_| true));
         }
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|(d, _)| *d == Direction::East));
@@ -230,7 +250,7 @@ mod tests {
         }
         let mut order = Vec::new();
         for _ in 0..8 {
-            for (d, f) in r.step(xy(mesh, mid), |_| true) {
+            for (d, f) in step(&mut r, xy(mesh, mid), |_| true) {
                 assert_eq!(d, Direction::East);
                 order.push(f.packet.0);
             }
@@ -248,10 +268,10 @@ mod tests {
         for f in flits_of(1, mesh.node(1, 0), 2) {
             r.accept(Direction::Local, f);
         }
-        let moves = r.step(xy(mesh, node), |_| false); // channel refuses
+        let moves = step(&mut r, xy(mesh, node), |_| false); // channel refuses
         assert!(moves.is_empty());
         assert_eq!(r.occupancy(), 2);
-        let moves = r.step(xy(mesh, node), |_| true);
+        let moves = step(&mut r, xy(mesh, node), |_| true);
         assert_eq!(moves.len(), 1);
     }
 
@@ -263,7 +283,7 @@ mod tests {
         for f in flits_of(9, n, 1) {
             r.accept(Direction::North, f);
         }
-        let moves = r.step(xy(mesh, n), |_| true);
+        let moves = step(&mut r, xy(mesh, n), |_| true);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].0, Direction::Local);
     }
@@ -276,11 +296,11 @@ mod tests {
         for f in flits_of(1, mesh.node(2, 0), 2) {
             r.accept(Direction::Local, f);
         }
-        let moves = r.step(|_, _| None, |_| true);
+        let moves = step(&mut r, |_, _| None, |_| true);
         assert!(moves.is_empty(), "unroutable head must wait, not misroute");
         assert_eq!(r.occupancy(), 2);
         // Routability restored (reconfiguration): traffic resumes.
-        let moves = r.step(xy(mesh, node), |_| true);
+        let moves = step(&mut r, xy(mesh, node), |_| true);
         assert_eq!(moves.len(), 1);
     }
 
@@ -295,17 +315,17 @@ mod tests {
         }
         // Cycle 1: the adaptive route prefers East; East is granted
         // but its channel refuses.
-        assert!(r.step(|_, _| Some(Direction::East), |d| d != Direction::East).is_empty());
+        assert!(step(&mut r, |_, _| Some(Direction::East), |d| d != Direction::East).is_empty());
         // Cycle 2: queue-depth bias now prefers South. The packet
         // already owns East, so South must not be granted too —
         // otherwise the worm splits across outputs and East's lock is
         // orphaned forever once the tail leaves through South.
-        assert!(r.step(|_, _| Some(Direction::South), |d| d != Direction::East).is_empty());
+        assert!(step(&mut r, |_, _| Some(Direction::South), |d| d != Direction::East).is_empty());
         // East reopens: the whole worm leaves through it, whatever
         // the route closure says now.
         let mut outs = Vec::new();
         for _ in 0..4 {
-            for (d, f) in r.step(|_, _| Some(Direction::South), |_| true) {
+            for (d, f) in step(&mut r, |_, _| Some(Direction::South), |_| true) {
                 outs.push((d, f.packet.0));
             }
         }
@@ -314,7 +334,7 @@ mod tests {
         for f in flits_of(8, dst, 1) {
             r.accept(Direction::West, f);
         }
-        assert_eq!(r.step(|_, _| Some(Direction::East), |_| true).len(), 1);
+        assert_eq!(step(&mut r, |_, _| Some(Direction::East), |_| true).len(), 1);
     }
 
     #[test]
@@ -331,12 +351,12 @@ mod tests {
         }
         // Grant the East output to packet 1 (West input wins the round
         // robin) and move its head out.
-        let moves = r.step(xy(mesh, node), |_| true);
+        let moves = step(&mut r, xy(mesh, node), |_| true);
         assert_eq!(moves.len(), 1);
         let removed = r.purge(&BTreeSet::from([PacketId(1)]));
         assert_eq!(removed, 2, "two queued flits of packet 1 removed");
         // The lock was released: packet 2 wins East immediately.
-        let moves = r.step(xy(mesh, node), |_| true);
+        let moves = step(&mut r, xy(mesh, node), |_| true);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].1.packet, PacketId(2));
     }
@@ -351,7 +371,7 @@ mod tests {
         for f in flits_of(1, dst, 3) {
             r.accept(Direction::Local, f);
         }
-        assert_eq!(r.step(xy(mesh, node), |_| true).len(), 1);
+        assert_eq!(step(&mut r, xy(mesh, node), |_| true).len(), 1);
         assert_eq!(r.disown_output(Direction::East), Some((PacketId(1), false)));
         // Case 2: lock granted but channel refused — head still here,
         // salvageable.
@@ -359,9 +379,181 @@ mod tests {
         for f in flits_of(2, dst, 3) {
             r.accept(Direction::Local, f);
         }
-        assert!(r.step(xy(mesh, node), |_| false).is_empty());
+        assert!(step(&mut r, xy(mesh, node), |_| false).is_empty());
         assert_eq!(r.disown_output(Direction::East), Some((PacketId(2), true)));
         // Unlocked outputs report nothing.
         assert_eq!(r.disown_output(Direction::West), None);
+    }
+
+    /// The arbiter as it was before route decisions were cached: every
+    /// free output re-asks `route` for every eligible head.
+    fn per_output_step<R, F>(r: &mut Router, mut route: R, mut can: F) -> Vec<(Direction, Flit)>
+    where
+        R: FnMut(Direction, &Flit) -> Option<Direction>,
+        F: FnMut(Direction) -> bool,
+    {
+        let mut moves = Vec::new();
+        for out in Direction::ALL {
+            let oi = out.index();
+            if r.output_owner[oi].is_none() {
+                for k in 0..5 {
+                    let ii = (r.rr[oi] + k) % 5;
+                    if ii == oi && out != Direction::Local {
+                        continue;
+                    }
+                    if let Some(head) = r.inputs[ii].front() {
+                        let already_owns =
+                            r.output_owner.iter().any(|o| o.is_some_and(|(_, p)| p == head.packet));
+                        if head.is_head()
+                            && !already_owns
+                            && route(Direction::ALL[ii], head) == Some(out)
+                        {
+                            r.output_owner[oi] = Some((ii, head.packet));
+                            r.rr[oi] = (ii + 1) % 5;
+                            break;
+                        }
+                    }
+                }
+            }
+            if let Some((ii, pid)) = r.output_owner[oi] {
+                if !can(out) {
+                    continue;
+                }
+                let Some(front) = r.inputs[ii].front() else { continue };
+                if front.packet != pid {
+                    continue;
+                }
+                let flit = *front;
+                r.inputs[ii].pop_front();
+                if flit.is_tail() {
+                    r.output_owner[oi] = None;
+                }
+                moves.push((out, flit));
+            }
+        }
+        moves
+    }
+
+    /// Steps `r` with a route closure that counts its calls per packet,
+    /// asserting that no head is routed twice in the step.
+    fn step_counting<R, F>(r: &mut Router, mut route: R, can_send: F) -> Vec<(Direction, Flit)>
+    where
+        R: FnMut(Direction, &Flit) -> Option<Direction>,
+        F: FnMut(Direction) -> bool,
+    {
+        let mut calls: Vec<PacketId> = Vec::new();
+        step(
+            r,
+            |in_port, f| {
+                assert!(f.is_head(), "routed a non-head flit");
+                assert!(!calls.contains(&f.packet), "{:?} routed twice in one step", f.packet);
+                calls.push(f.packet);
+                route(in_port, f)
+            },
+            can_send,
+        )
+    }
+
+    #[test]
+    fn a_head_reaching_the_front_mid_step_is_routed_once() {
+        // Packet 1 owns North from the East input; its tail is the
+        // last flit there, and packet 2's head waits behind it, bound
+        // for this node. North is served first and the tail leaves;
+        // packet 2's head then reaches the front in the same step and
+        // is weighed against South, West and Local — routed once,
+        // granted Local.
+        let mesh = Mesh::new(3, 3);
+        let mid = mesh.node(1, 1);
+        let mut r = Router::new(mid, 8);
+        for f in flits_of(1, mesh.node(1, 0), 2) {
+            r.accept(Direction::East, f);
+        }
+        let route = |_: Direction, f: &Flit| Some(mesh.route_xy(mid, f.dst));
+        let head = flits_of(1, mesh.node(1, 0), 2)[0];
+        assert_eq!(step_counting(&mut r, route, |_| true), vec![(Direction::North, head)]);
+        for f in flits_of(2, mid, 2) {
+            r.accept(Direction::East, f);
+        }
+        let mut old = r.clone();
+        let mut calls = 0;
+        let moves = step_counting(
+            &mut r,
+            |i, f| {
+                calls += 1;
+                route(i, f)
+            },
+            |_| true,
+        );
+        let mut old_calls = 0;
+        let expected = per_output_step(
+            &mut old,
+            |i, f| {
+                old_calls += 1;
+                route(i, f)
+            },
+            |_| true,
+        );
+        assert_eq!(moves, expected);
+        assert_eq!(
+            moves.iter().map(|(d, f)| (*d, f.packet.0, f.kind)).collect::<Vec<_>>(),
+            vec![(Direction::North, 1, FlitKind::Tail), (Direction::Local, 2, FlitKind::Head)]
+        );
+        assert_eq!(calls, 1, "one route call for packet 2's head");
+        assert_eq!(old_calls, 3, "the per-output arbiter asked at South, West and Local");
+    }
+
+    #[test]
+    fn route_once_arbitration_matches_per_output_arbitration() {
+        // Random worms stream into all five inputs while routes and
+        // channel readiness change from step to step (fixed within a
+        // step, as the network's are). The cached arbiter must move
+        // exactly the flits the per-output arbiter moves, every step.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rand = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mesh = Mesh::new(3, 3);
+        let mid = mesh.node(1, 1);
+        for trial in 0..20 {
+            let mut new = Router::new(mid, 4);
+            let mut old = Router::new(mid, 4);
+            let mut next_id = 0u64;
+            // Per input: the flits of the worm being fed in.
+            let mut feed: [Vec<Flit>; 5] = Default::default();
+            for cycle in 0..300u64 {
+                for port in Direction::ALL {
+                    let q = &mut feed[port.index()];
+                    if q.is_empty() && rand() % 3 == 0 {
+                        next_id += 1;
+                        *q = flits_of(next_id, NodeId(0), 1 + (rand() % 3) as u32);
+                        q.reverse();
+                    }
+                    if new.free_slots(port) > 0 && rand() % 2 == 0 {
+                        if let Some(f) = q.pop() {
+                            new.accept(port, f);
+                            old.accept(port, f);
+                        }
+                    }
+                }
+                let salt = rand();
+                let route = move |i: Direction, f: &Flit| {
+                    let h = (f.packet.0 ^ salt).wrapping_mul(0x2545_f491_4f6c_dd1d) >> 40;
+                    match (h + i.index() as u64) % 6 {
+                        5 => None,
+                        k => Some(Direction::ALL[k as usize]),
+                    }
+                };
+                let ready = rand();
+                let can = move |d: Direction| ready >> d.index() & 1 == 1;
+                let moves = step_counting(&mut new, route, can);
+                let expected = per_output_step(&mut old, route, can);
+                assert_eq!(moves, expected, "trial {trial} cycle {cycle}");
+                assert_eq!(new.output_owner, old.output_owner);
+                assert_eq!(new.rr, old.rr);
+            }
+        }
     }
 }

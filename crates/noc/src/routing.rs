@@ -135,6 +135,60 @@ impl LinkHealth {
     }
 }
 
+/// A set of router ports, as a bitmask over [`Direction::index`]:
+/// what [`RouteTable::permitted`] returns, without allocating.
+/// Iterates in index order (N, S, E, W, Local).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DirSet(u8);
+
+impl DirSet {
+    /// The set holding only `d`.
+    pub(crate) fn of(d: Direction) -> Self {
+        DirSet(1 << d.index())
+    }
+
+    /// Adds `d`.
+    pub(crate) fn push(&mut self, d: Direction) {
+        self.0 |= 1 << d.index();
+    }
+
+    /// Number of ports in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True if the set holds no port.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl IntoIterator for DirSet {
+    type Item = Direction;
+    type IntoIter = DirIter;
+
+    fn into_iter(self) -> DirIter {
+        DirIter(self.0)
+    }
+}
+
+/// Iterator over a [`DirSet`], lowest index first.
+#[derive(Debug, Clone)]
+pub struct DirIter(u8);
+
+impl Iterator for DirIter {
+    type Item = Direction;
+
+    fn next(&mut self) -> Option<Direction> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(Direction::ALL[i])
+    }
+}
+
 const INF: u32 = u32::MAX;
 
 /// Up phase: the packet may still take up or down channels.
@@ -305,15 +359,9 @@ impl RouteTable {
 
     /// Permitted outputs under the active regime, unbiased. Empty
     /// means unroutable (destination severed from the survivors).
-    pub fn permitted(
-        &self,
-        src: NodeId,
-        at: NodeId,
-        in_port: Direction,
-        dst: NodeId,
-    ) -> Vec<Direction> {
+    pub fn permitted(&self, src: NodeId, at: NodeId, in_port: Direction, dst: NodeId) -> DirSet {
         if at == dst {
-            return vec![Direction::Local];
+            return DirSet::of(Direction::Local);
         }
         if self.failed.is_empty() {
             self.odd_even_permitted(src, at, dst)
@@ -343,12 +391,12 @@ impl RouteTable {
     /// turns respect the column-parity restrictions. Needs the source
     /// column (packets may turn freely in it — no eastward travel has
     /// happened yet).
-    fn odd_even_permitted(&self, src: NodeId, at: NodeId, dst: NodeId) -> Vec<Direction> {
+    fn odd_even_permitted(&self, src: NodeId, at: NodeId, dst: NodeId) -> DirSet {
         let (cx, cy) = self.mesh.coords(at);
         let (dx, dy) = self.mesh.coords(dst);
         let (sx, _) = self.mesh.coords(src);
         let ydir = if dy > cy { Direction::South } else { Direction::North };
-        let mut out = Vec::with_capacity(2);
+        let mut out = DirSet::default();
         match dx.cmp(&cx) {
             std::cmp::Ordering::Equal => out.push(ydir),
             std::cmp::Ordering::Greater => {
@@ -384,10 +432,10 @@ impl RouteTable {
 
     /// Up*/down* permitted outputs: usable channels legal from the
     /// current phase that strictly decrease the legal-path distance.
-    fn updown_permitted(&self, at: NodeId, in_port: Direction, dst: NodeId) -> Vec<Direction> {
+    fn updown_permitted(&self, at: NodeId, in_port: Direction, dst: NodeId) -> DirSet {
         let phase = self.phase_of(at, in_port);
         let dcur = self.dist[dst.0 as usize][at.0 as usize][phase];
-        let mut out = Vec::with_capacity(4);
+        let mut out = DirSet::default();
         if dcur == INF {
             return out;
         }
@@ -611,7 +659,7 @@ mod tests {
         // From n5 (1,1) to n15 (3,3): odd column 1 eastbound offers
         // both South and East. Penalizing East must flip the choice.
         let src = NodeId(5);
-        let p = t.permitted(src, src, Direction::Local, NodeId(15));
+        let p: Vec<_> = t.permitted(src, src, Direction::Local, NodeId(15)).into_iter().collect();
         assert!(p.contains(&Direction::East) && p.contains(&Direction::South), "{p:?}");
         let east_bad = t.choose(src, src, Direction::Local, NodeId(15), |d| {
             u32::from(d == Direction::East) * LinkHealth::Degraded.penalty()
@@ -621,6 +669,57 @@ mod tests {
             u32::from(d == Direction::South) * LinkHealth::Degraded.penalty()
         });
         assert_eq!(south_bad, Some(Direction::East));
+    }
+
+    #[test]
+    fn choose_picks_the_min_by_key_over_permitted_everywhere() {
+        // Every (src, at, in_port, dst) of a 5x4 mesh, on the whole-mesh
+        // table and on up*/down* tables over several failure sets (the
+        // last severs corner node 0): the allocation-free `choose` must
+        // agree with a `min_by_key` over the collected permitted set,
+        // ties going to the lower direction index.
+        let mesh = Mesh::new(5, 4);
+        let both = |n: u16, d: Direction| {
+            LinkKill::both_ways(&mesh, 0, NodeId(n), d).map(|k| (k.node.0, k.dir.index() as u8))
+        };
+        let failure_sets: Vec<Vec<(u16, u8)>> = vec![
+            Vec::new(),
+            both(6, Direction::East).to_vec(),
+            vec![(12, Direction::South.index() as u8)],
+            [both(1, Direction::South), both(8, Direction::East), both(13, Direction::West)]
+                .concat(),
+            [both(0, Direction::East), both(0, Direction::South)].concat(),
+        ];
+        let scores: [[u32; 5]; 3] = [[0; 5], [5, 3, 3, 1, 0], [2, 7, 2, 7, 9]];
+        let mut routed = 0;
+        for failed in failure_sets {
+            let mut t = RouteTable::new(mesh);
+            t.rebuild(failed.into_iter().collect());
+            for src in mesh.node_ids() {
+                for at in mesh.node_ids() {
+                    for in_port in Direction::ALL {
+                        if in_port != Direction::Local && mesh.neighbor(at, in_port).is_none() {
+                            continue;
+                        }
+                        for dst in mesh.node_ids() {
+                            let permitted: Vec<Direction> =
+                                t.permitted(src, at, in_port, dst).into_iter().collect();
+                            assert_eq!(permitted.len(), t.permitted(src, at, in_port, dst).len());
+                            for s in scores {
+                                let expected = permitted
+                                    .iter()
+                                    .copied()
+                                    .min_by_key(|&d| (s[d.index()], d.index()));
+                                let got = t.choose(src, at, in_port, dst, |d| s[d.index()]);
+                                assert_eq!(got, expected, "{src}->{dst} at {at} via {in_port:?}");
+                                routed += usize::from(got.is_some());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(routed > 0);
     }
 
     #[test]
