@@ -3,37 +3,32 @@
 //! ([`NetBundle`](sal_des::NetBundle)) to each capture cell
 //! ([`NetCapture`](sal_des::NetCapture)).
 //!
-//! The model is classic static timing adapted to bundled-data
-//! handshakes. A *launch* is a transition of the bundle's origin
-//! signal (the acknowledge that advances the serializer's slice
-//! token, the ring-oscillator tap that paces the I3 burst). From the
-//! origin two cones fan out:
+//! A *launch* is a transition of the bundle's origin signal (the
+//! acknowledge that advances the serializer's slice token, the
+//! ring-oscillator tap that paces the I3 burst). Two cones fan out:
 //!
-//! * the **data cone** is traced backwards from the capture's data
-//!   pin, *maximizing* delay. Combinational cells, wire transports
-//!   and routing are transparent; a latch is transparent through its
-//!   `d` pin (adding its latch delay); a flip-flop's output launches
-//!   from its clock pin (reg-to-reg paths start at the launching
-//!   clock, as in any STA); C-elements and David cells carry control,
-//!   not data, and terminate the cone.
-//! * the **strobe cone** is traced backwards from the capture's
-//!   trigger pin, *minimizing* delay. Control transitions flow
-//!   through everything except sources: gates and wires directly,
-//!   state-holding cells through their trigger pins (a C-element
-//!   forwards the request edge, a latch enable follows its
-//!   controller).
+//! * the **data cone**, traced backwards from the capture's data pin,
+//!   *maximizing* delay. Gates, wires and routing are transparent; a
+//!   latch passes its `d` pin; a flip-flop launches from its clock
+//!   pin (as in any STA); C-elements and David cells carry control
+//!   and end the cone. It is a longest path over (signal, data/clock)
+//!   states, memoized once per bundle and shared by all captures:
+//!   O(V + E). A cycle the origin can feed into a capture (a loop of
+//!   transparent latches) has no longest path and is an error naming
+//!   a signal on it; a cycle the origin cannot reach is harmless.
+//! * the **strobe cone**, traced backwards from the capture's trigger
+//!   pin, *minimizing* delay through gates, wires and the trigger
+//!   pins of state-holding cells. It is Dijkstra from the trigger
+//!   until the origin settles: delays are non-negative, so feedback
+//!   (token rings, handshake loops) never shortens a path.
 //!
 //! The static margin of a capture is `data_lead + strobe_min −
 //! data_max`: the time the data settles before the strobe closes the
 //! capture window. A non-positive margin is an error (the matched
-//! delay does not cover the data path); positive margins are
-//! reported as info so the `sal-lint` bin can expose them — they are
-//! the static counterpart of the simulated skew margins in
-//! `BENCH_robustness.json`.
-//!
-//! Cycles (token rings, handshake feedback) are cut on the DFS stack,
-//! and results computed under a cut are not memoized, so the
-//! traversal is deterministic and terminates.
+//! delay does not cover the data path); positive margins are info —
+//! the static counterpart of `BENCH_robustness.json`'s skew margins.
+
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 use sal_des::{BundleParams, CellClass, NetComponent, NetGraph, SignalId};
 
@@ -71,21 +66,32 @@ pub struct TimingMargin {
 /// reaches no bundle origin are unconstrained (e.g. synchronous
 /// captures timed by the clock) and are skipped.
 pub fn timing_margins(graph: &NetGraph) -> Vec<TimingMargin> {
+    analyze(graph, &mut LintReport::new())
+}
+
+/// [`timing_margins`], reporting each cyclic data cone into `report`.
+fn analyze(graph: &NetGraph, report: &mut LintReport) -> Vec<TimingMargin> {
+    let mut cones: Vec<DataCone> = graph
+        .bundles
+        .iter()
+        .map(|b| DataCone {
+            origin: b.origin,
+            memo: vec![[Memo::Unvisited; 2]; graph.signals.len()],
+            cycle: None,
+        })
+        .collect();
     let mut out = Vec::new();
     for cap in &graph.captures {
         // Pair with the nearest launch point: the bundle with the
         // smallest maximal data delay into this capture.
-        let mut best: Option<(usize, i64)> = None;
-        for (bi, b) in graph.bundles.iter().enumerate() {
-            if let Some(d) = cone(graph, cap.data, b.origin, Mode::DataMax) {
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((bi, d));
-                }
-            }
-        }
+        let best = cones
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(bi, cone)| Some((bi, cone.longest(graph, cap.data, Mode::DataMax)?)))
+            .min_by_key(|&(_, d)| d);
         let Some((bi, data_max)) = best else { continue };
         let bundle = &graph.bundles[bi];
-        let strobe_min = cone(graph, cap.trigger, bundle.origin, Mode::StrobeMin);
+        let strobe_min = strobe_min(graph, cap.trigger, bundle.origin);
         let lead = bundle.data_lead.as_fs() as i64;
         let margin_fs = strobe_min.map(|s| lead + s - data_max);
         out.push(TimingMargin {
@@ -107,50 +113,49 @@ pub fn timing_margins(graph: &NetGraph) -> Vec<TimingMargin> {
             .then_with(|| a.capture_data.cmp(&b.capture_data))
             .then_with(|| a.capture_trigger.cmp(&b.capture_trigger))
     });
+    for (bundle, cone) in graph.bundles.iter().zip(&cones) {
+        if let Some(sig) = cone.cycle {
+            let msg = format!(
+                "data cone of bundle '{}' runs through a cycle at this signal: the data can \
+                 circle it indefinitely, so its captures have no longest data path",
+                bundle.label
+            );
+            report.push(Severity::Error, PASS, &graph.signal(sig).path, msg);
+        }
+    }
     out
 }
 
 /// Runs the static-timing lint over `graph`, appending to `report`.
 pub fn check(graph: &NetGraph, report: &mut LintReport) {
-    for m in timing_margins(graph) {
-        if m.margin_ps == f64::NEG_INFINITY {
-            report.push(
-                Severity::Error,
-                PASS,
-                &m.capture_trigger,
-                format!(
-                    "capture trigger is unreachable from bundle '{}' although the data \
-                     pin is (data {:.1} ps): the strobe cannot close this capture",
-                    m.bundle, m.data_max_ps
-                ),
+    for m in analyze(graph, report) {
+        let (severity, path, message) = if m.margin_ps == f64::NEG_INFINITY {
+            let msg = format!(
+                "capture trigger is unreachable from bundle '{}' although the data \
+                 pin is (data {:.1} ps): the strobe cannot close this capture",
+                m.bundle, m.data_max_ps
             );
+            (Severity::Error, &m.capture_trigger, msg)
         } else if m.margin_ps <= 0.0 {
-            report.push(
-                Severity::Error,
-                PASS,
-                &m.capture_data,
-                format!(
-                    "bundled-data violation against '{}': data {:.1} ps, strobe {:.1} ps \
-                     (+{:.1} ps lead) — margin {:.1} ps; the strobe can overtake its data",
-                    m.bundle, m.data_max_ps, m.strobe_min_ps, m.data_lead_ps, m.margin_ps
-                ),
+            let msg = format!(
+                "bundled-data violation against '{}': data {:.1} ps, strobe {:.1} ps \
+                 (+{:.1} ps lead) — margin {:.1} ps; the strobe can overtake its data",
+                m.bundle, m.data_max_ps, m.strobe_min_ps, m.data_lead_ps, m.margin_ps
             );
+            (Severity::Error, &m.capture_data, msg)
         } else {
-            report.push(
-                Severity::Info,
-                PASS,
-                &m.capture_data,
-                format!(
-                    "static bundled margin +{:.1} ps against '{}' (data {:.1} ps, strobe \
-                     {:.1} ps, lead {:.1} ps)",
-                    m.margin_ps, m.bundle, m.data_max_ps, m.strobe_min_ps, m.data_lead_ps
-                ),
+            let msg = format!(
+                "static bundled margin +{:.1} ps against '{}' (data {:.1} ps, strobe \
+                 {:.1} ps, lead {:.1} ps)",
+                m.margin_ps, m.bundle, m.data_max_ps, m.strobe_min_ps, m.data_lead_ps
             );
-        }
+            (Severity::Info, &m.capture_data, msg)
+        };
+        report.push(severity, PASS, path, message);
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Mode {
     DataMax,
     /// Behind the launch register: a timing path has exactly ONE
@@ -160,117 +165,112 @@ enum Mode {
     /// (the upstream word changing between handshakes), which the
     /// protocol, not the matched delay, keeps safe.
     ClockMax,
-    StrobeMin,
 }
 
-/// Which of a cell's input pins the cone continues through, and the
-/// mode the traversal continues in past that cell.
+/// Which of a cell's input pins the data cone continues through, and
+/// the mode it continues in past that cell.
 fn pins(comp: &NetComponent, mode: Mode) -> (&[SignalId], Mode) {
+    match (comp.class, mode) {
+        (CellClass::Comb | CellClass::Wire | CellClass::Route, _) => (&comp.inputs, mode),
+        (CellClass::Latch, Mode::DataMax) => (&comp.data_pins, mode),
+        (CellClass::Dff, Mode::DataMax) => (&comp.trigger_pins, Mode::ClockMax),
+        _ => (&[], mode),
+    }
+}
+
+/// Which of a cell's input pins the strobe cone continues through.
+fn strobe_pins(comp: &NetComponent) -> &[SignalId] {
     match comp.class {
-        CellClass::Comb | CellClass::Wire | CellClass::Route => (&comp.inputs, mode),
-        CellClass::Latch => match mode {
-            Mode::DataMax => (&comp.data_pins, mode),
-            Mode::ClockMax => (&[], mode),
-            Mode::StrobeMin => (&comp.trigger_pins, mode),
-        },
-        CellClass::Dff => match mode {
-            Mode::DataMax => (&comp.trigger_pins, Mode::ClockMax),
-            Mode::ClockMax => (&[], mode),
-            Mode::StrobeMin => (&comp.trigger_pins, mode),
-        },
-        CellClass::CElement | CellClass::DavidCell => match mode {
-            Mode::DataMax | Mode::ClockMax => (&[], mode),
-            Mode::StrobeMin => (&comp.trigger_pins, mode),
-        },
-        CellClass::Source | CellClass::Env | CellClass::Monitor | CellClass::Unknown => {
-            (&[], mode)
+        CellClass::Comb | CellClass::Wire | CellClass::Route => &comp.inputs,
+        CellClass::Latch | CellClass::Dff | CellClass::CElement | CellClass::DavidCell => {
+            &comp.trigger_pins
         }
+        CellClass::Source | CellClass::Env | CellClass::Monitor | CellClass::Unknown => &[],
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Memo {
-    Unvisited,
-    OnStack,
-    Done(Option<i64>),
-}
-
-struct Walker<'g> {
-    graph: &'g NetGraph,
-    origin: SignalId,
-    // One memo table per traversal mode a walk can be in (a data walk
-    // flips into clock mode behind the launch register, so the same
-    // signal can legitimately carry two different results).
-    memo: Vec<[Memo; 2]>,
-    steps: usize,
-}
-
-fn slot(mode: Mode) -> usize {
-    match mode {
-        Mode::DataMax | Mode::StrobeMin => 0,
-        Mode::ClockMax => 1,
-    }
-}
-
-/// Best (max or min, per mode) delay in femtoseconds from a
-/// transition of `origin` to `start`, traced backwards through the
-/// drivers, or `None` if no allowed path connects them.
-fn cone(graph: &NetGraph, start: SignalId, origin: SignalId, mode: Mode) -> Option<i64> {
-    let mut w = Walker {
-        graph,
-        origin,
-        memo: vec![[Memo::Unvisited; 2]; graph.signals.len()],
-        steps: 0,
-    };
-    w.visit(start, mode).0
-}
-
-impl Walker<'_> {
-    /// Returns the best delay and whether the evaluation was cut at a
-    /// signal currently on the DFS stack (in which case the result is
-    /// path-dependent and must not be memoized).
-    fn visit(&mut self, sig: SignalId, mode: Mode) -> (Option<i64>, bool) {
-        if sig == self.origin {
-            return (Some(0), false);
+/// Shortest delay in femtoseconds from a transition of `origin` to
+/// `trigger` through the strobe cone (Dijkstra backwards through the
+/// drivers), or `None` if no path connects them.
+fn strobe_min(graph: &NetGraph, trigger: SignalId, origin: SignalId) -> Option<i64> {
+    let mut dist = vec![i64::MAX; graph.signals.len()];
+    dist[trigger.index()] = 0;
+    let mut heap = BinaryHeap::from([Reverse((0, trigger.index()))]);
+    while let Some(Reverse((d, s))) = heap.pop() {
+        if s == origin.index() {
+            return Some(d);
         }
-        let m = slot(mode);
-        match self.memo[sig.index()][m] {
-            Memo::OnStack => return (None, true),
-            Memo::Done(v) => return (v, false),
-            Memo::Unvisited => {}
+        if d > dist[s] {
+            continue;
         }
-        // Budget backstop: cones over a pathological graph give up
-        // rather than walk forever (the result is still deterministic
-        // for a given graph).
-        self.steps += 1;
-        if self.steps > 2_000_000 {
-            return (None, false);
-        }
-        self.memo[sig.index()][m] = Memo::OnStack;
-        let mut best: Option<i64> = None;
-        let mut cut = false;
-        for &driver in &self.graph.signal(sig).drivers {
-            let comp = self.graph.component(driver);
-            let delay = comp.delay.map_or(0, |d| d.as_fs() as i64);
-            let (pins, next_mode) = pins(comp, mode);
-            for &pin in pins {
-                let (sub, sub_cut) = self.visit(pin, next_mode);
-                cut |= sub_cut;
-                if let Some(d) = sub {
-                    let cand = d + delay;
-                    best = Some(match (best, mode) {
-                        (None, _) => cand,
-                        (Some(b), Mode::DataMax | Mode::ClockMax) => b.max(cand),
-                        (Some(b), Mode::StrobeMin) => b.min(cand),
-                    });
+        for &driver in &graph.signals[s].drivers {
+            let comp = graph.component(driver);
+            let next = d + comp.delay.map_or(0, |t| t.as_fs() as i64);
+            for &pin in strobe_pins(comp) {
+                if next < dist[pin.index()] {
+                    dist[pin.index()] = next;
+                    heap.push(Reverse((next, pin.index())));
                 }
             }
         }
-        if cut {
-            self.memo[sig.index()][m] = Memo::Unvisited;
-        } else {
-            self.memo[sig.index()][m] = Memo::Done(best);
+    }
+    None
+}
+
+#[derive(Clone, Copy)]
+enum Memo {
+    Unvisited,
+    /// On the DFS stack; `true` once a walk re-entered it.
+    OnStack(bool),
+    Done(Option<i64>),
+}
+
+/// One bundle's data cone: the longest delay in femtoseconds from its
+/// origin to each (signal, mode) state, filled on demand and shared
+/// by every capture.
+struct DataCone {
+    origin: SignalId,
+    memo: Vec<[Memo; 2]>,
+    /// A signal on a cycle that reaches the origin: the data can
+    /// circle it, so the longest path is unbounded.
+    cycle: Option<SignalId>,
+}
+
+impl DataCone {
+    /// Longest delay from a transition of the origin to `sig` in
+    /// `mode`, or `None` if no allowed path connects them. A state
+    /// re-entered on the stack counts as pathless there: exact unless
+    /// it reaches the origin after all, and the first-entered state of
+    /// any such cycle does, so `cycle` is set whenever a delay may be
+    /// short.
+    fn longest(&mut self, graph: &NetGraph, sig: SignalId, mode: Mode) -> Option<i64> {
+        if sig == self.origin {
+            return Some(0);
         }
-        (best, cut)
+        let entry = &mut self.memo[sig.index()][mode as usize];
+        match *entry {
+            Memo::Done(v) => return v,
+            Memo::OnStack(_) => {
+                *entry = Memo::OnStack(true);
+                return None;
+            }
+            Memo::Unvisited => *entry = Memo::OnStack(false),
+        }
+        let mut best = None;
+        for &driver in &graph.signal(sig).drivers {
+            let comp = graph.component(driver);
+            let (pins, next_mode) = pins(comp, mode);
+            for &pin in pins {
+                if let Some(d) = self.longest(graph, pin, next_mode) {
+                    best = best.max(Some(d + comp.delay.map_or(0, |t| t.as_fs() as i64)));
+                }
+            }
+        }
+        let entry = &mut self.memo[sig.index()][mode as usize];
+        if best.is_some() && matches!(*entry, Memo::OnStack(true)) {
+            self.cycle.get_or_insert(sig);
+        }
+        *entry = Memo::Done(best);
+        best
     }
 }

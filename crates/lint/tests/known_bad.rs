@@ -4,9 +4,11 @@
 //! regression fixtures — if a refactor of the graph extraction or a
 //! pass ever stops seeing a defect class, one of these goes red.
 
+use std::time::Instant;
+
 use sal_cells::CircuitBuilder;
-use sal_des::{CellClass, Component, Ctx, SimConfig, Simulator, Time};
-use sal_lint::{run_all, Severity};
+use sal_des::{CellClass, Component, Ctx, NetGraph, SignalId, SimConfig, Simulator, Time};
+use sal_lint::{run_all, timing_margins, Severity};
 use sal_tech::St012Library;
 
 /// Trivial logic stand-in for raw-simulator constructions (the lint
@@ -281,6 +283,171 @@ fn timing_fires_on_unreachable_strobe() {
         "expected an unreachable-strobe error, got:\n{}",
         report.to_text()
     );
+}
+
+/// Nominal delay of the component named `name`, fs.
+fn delay_of(graph: &NetGraph, name: &str) -> i64 {
+    let comp = graph
+        .components
+        .iter()
+        .find(|c| c.name == name)
+        .expect("component exists");
+    comp.delay.expect("builder cells carry a delay").as_fs() as i64
+}
+
+/// A ladder of `rungs` reconvergent diamonds from `go`: each rung
+/// forks into a one-buffer and a two-buffer branch and rejoins them
+/// in an AND, so 2^rungs distinct paths reach the end. A C-element
+/// fed by the end drives back into the ladder's head, closing a
+/// control cycle around it. Returns the ladder's end.
+fn diamond_ladder(b: &mut CircuitBuilder<'_>, go: SignalId, rungs: usize) -> SignalId {
+    let rstn = b.input("rstn", 1);
+    let fb = b.input("fb", 1);
+    let mut node = b.or2("head", go, fb);
+    for i in 0..rungs {
+        let fast = b.buf(&format!("fast{i}"), node);
+        let slow = b.buf_chain(&format!("slow{i}"), node, 2);
+        node = b.and2(&format!("rung{i}"), fast, slow);
+    }
+    let c = b.celement2("loop_c", node, go, Some(rstn), false);
+    b.buf_into("fb_drv", fb, c);
+    node
+}
+
+/// Forty reconvergent strobe diamonds inside a C-element feedback
+/// cycle: 2^40 simple paths, which a path walk cannot enumerate. The
+/// strobe minimum must still be exact: the three-buffer bypass beats
+/// the ladder's fastest path.
+#[test]
+fn timing_strobe_minimum_is_exact_over_a_cyclic_diamond_ladder() {
+    let mut sim = Simulator::new();
+    let lib = St012Library::default();
+    let mut b = CircuitBuilder::new(&mut sim, &lib);
+    let go = b.input("go", 1);
+    let end = diamond_ladder(&mut b, go, 40);
+    let bypass = b.buf_chain("bypass", go, 3);
+    let strobe = b.or2("strobe", end, bypass);
+    let data = b.buf("data", go);
+    b.sim().register_bundle("ladder", go, Time::ZERO);
+    b.sim().register_capture(data, strobe);
+    let _q = b.dlatch("cap", data, strobe, None);
+    b.finish();
+    let graph = sim.netgraph();
+    let t = Instant::now();
+    let margins = timing_margins(&graph);
+    assert!(t.elapsed().as_secs_f64() < 1.0, "took {:?}", t.elapsed());
+    let d = |name: &str| delay_of(&graph, name);
+    let ladder = d("head") + 40 * (d("fast0") + d("rung0")) + d("strobe");
+    let via_bypass = 3 * d("bypass_0") + d("strobe");
+    assert!(
+        via_bypass < ladder,
+        "the bypass must be the shortest strobe path"
+    );
+    assert_eq!(margins.len(), 1);
+    assert_eq!(margins[0].strobe_min_ps, via_bypass as f64 / 1000.0);
+    assert_eq!(margins[0].data_max_ps, d("data") as f64 / 1000.0);
+}
+
+/// The data twin: the same ladder feeds the captured data, and the
+/// data maximum must be the all-slow path through every rung (the
+/// C-element ends the data cone, so the feedback adds nothing).
+#[test]
+fn timing_data_maximum_is_exact_over_a_diamond_ladder() {
+    let mut sim = Simulator::new();
+    let lib = St012Library::default();
+    let mut b = CircuitBuilder::new(&mut sim, &lib);
+    let go = b.input("go", 1);
+    let end = diamond_ladder(&mut b, go, 40);
+    let bypass = b.buf_chain("bypass", go, 3);
+    let data = b.or2("data", end, bypass);
+    let strobe = b.buf_chain("strobe_dly", go, 200);
+    b.sim().register_bundle("ladder", go, Time::ZERO);
+    b.sim().register_capture(data, strobe);
+    let _q = b.dlatch("cap", data, strobe, None);
+    b.finish();
+    let graph = sim.netgraph();
+    let t = Instant::now();
+    let report = run_all(&graph);
+    let margins = timing_margins(&graph);
+    assert!(t.elapsed().as_secs_f64() < 1.0, "took {:?}", t.elapsed());
+    let d = |name: &str| delay_of(&graph, name);
+    let slowest = d("head") + 40 * (2 * d("slow0_0") + d("rung0")) + d("data");
+    assert_eq!(margins.len(), 1);
+    assert_eq!(margins[0].data_max_ps, slowest as f64 / 1000.0);
+    assert!(
+        errors_of(&report, "timing").is_empty(),
+        "an acyclic data cone with a covering strobe is clean:\n{}",
+        report.to_text()
+    );
+}
+
+/// A data path through a loop of two transparent latches: data can
+/// circle the loop for as long as both enables are open, so the data
+/// cone has no longest path. `origin_feeds_loop` selects whether the
+/// launch reaches the loop or joins the data after it.
+fn latch_loop(cyclic: bool, origin_feeds_loop: bool) -> sal_lint::LintReport {
+    let mut sim = Simulator::new();
+    let lib = St012Library::default();
+    let mut b = CircuitBuilder::new(&mut sim, &lib);
+    let go = b.input("go", 1);
+    let other = b.input("other", 1);
+    let (en1, en2) = (b.input("en1", 1), b.input("en2", 1));
+    let back = b.input("back", 1);
+    let entry = if origin_feeds_loop { go } else { other };
+    let x = b.or2("x", entry, back);
+    let l1 = b.dlatch("l1", x, en1, None);
+    let l2 = b.dlatch("l2", l1, en2, None);
+    if cyclic {
+        b.buf_into("back_drv", back, l2);
+    }
+    let tail = if origin_feeds_loop {
+        l2
+    } else {
+        b.and2("join", l2, go)
+    };
+    let data = b.buf("data", tail);
+    let strobe = b.buf_chain("strobe_dly", go, 30);
+    b.sim().register_bundle("loop", go, Time::ZERO);
+    b.sim().register_capture(data, strobe);
+    let _q = b.dlatch("cap", data, strobe, None);
+    b.finish();
+    run_all(&sim.netgraph())
+}
+
+#[test]
+fn timing_fires_on_a_cyclic_data_cone() {
+    let report = latch_loop(true, true);
+    let errs = errors_of(&report, "timing");
+    assert!(
+        errs.iter()
+            .any(|f| f.message.contains("cycle")
+                && ["x", "l1", "l2", "back"].contains(&f.path.as_str())),
+        "expected a cyclic-data-cone error naming a loop signal, got:\n{}",
+        report.to_text()
+    );
+}
+
+#[test]
+fn timing_silent_on_acyclic_or_unlaunched_latch_chains() {
+    // The same latches without the feedback, and the same loop fed
+    // only by an unrelated input: neither gives the launch a cycle to
+    // circle, so both cones have exact longest paths.
+    for (cyclic, origin_feeds_loop) in [(false, true), (true, false)] {
+        let report = latch_loop(cyclic, origin_feeds_loop);
+        assert!(
+            errors_of(&report, "timing").is_empty(),
+            "cyclic={cyclic} origin_feeds_loop={origin_feeds_loop} must be clean:\n{}",
+            report.to_text()
+        );
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.pass == "timing" && f.severity == Severity::Info),
+            "the capture must still be constrained:\n{}",
+            report.to_text()
+        );
+    }
 }
 
 // ---------------------------------------------------------------
