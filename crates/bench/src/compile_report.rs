@@ -1,4 +1,4 @@
-//! Deterministic compiled-engine equivalence report (`--bin compile`).
+//! Deterministic compiled-engine equivalence report (`campaign compile`).
 //!
 //! Runs a fixed set of workloads on both execution engines — the
 //! interpreted event loop and the compiled netlist engine — and
@@ -200,6 +200,50 @@ pub fn report() -> CompileReport {
     CompileReport { workloads, sliced }
 }
 
+/// Prints the engine-agreement table and the sliced-campaign rows.
+pub fn print(r: &CompileReport) {
+    println!("== compiled vs interpreted (integer behavioral counters) ==");
+    println!(
+        "{:<26} {:>9} {:>12} {:>12} {:>7} {:>10} {:>10}",
+        "workload", "identical", "commits", "checksum", "cones", "cone_evals", "ev_avoided"
+    );
+    for w in &r.workloads {
+        println!(
+            "{:<26} {:>9} {:>12} {:>12x} {:>7} {:>10} {:>10}",
+            w.name,
+            w.identical(),
+            w.compiled.commits,
+            w.compiled.checksum,
+            w.compiled.cones_built,
+            w.compiled.cone_evals,
+            w.compiled.events_avoided
+        );
+    }
+
+    println!("\n== sliced campaigns (64 lanes) ==");
+    println!("{:<6} {:>8} {:>18} {:>9} {:>11}", "seed", "lanes", "diverged", "distinct", "mismatched");
+    for s in &r.sliced {
+        println!(
+            "{:<6} {:>8} {:>#18x} {:>9} {:>11}",
+            s.seed, s.lanes, s.diverged, s.distinct_from_control, s.mismatched
+        );
+    }
+}
+
+/// The engines must agree on every workload, and every sliced lane
+/// must match its scalar replay.
+pub fn violations(r: &CompileReport) -> Vec<String> {
+    let engines = r
+        .workloads
+        .iter()
+        .filter(|w| !w.identical())
+        .map(|w| format!("{}: compiled and interpreted engines disagree", w.name));
+    let lanes = r.sliced.iter().filter(|s| s.mismatched != 0).map(|s| {
+        format!("sliced seed {}: {} lanes differ from their scalar replay", s.seed, s.mismatched)
+    });
+    engines.chain(lanes).collect()
+}
+
 fn engine_json(out: &mut String, e: &EngineStats) {
     out.push_str(&format!(
         "{{\"events\": {}, \"commits\": {}, \"cones_built\": {}, \
@@ -253,5 +297,31 @@ mod tests {
         assert!(row.identical(), "{row:?}");
         assert!(row.compiled.cones_built > 0);
         assert!(row.interpreted.cones_built == 0);
+    }
+
+    #[test]
+    fn disagreement_and_lane_mismatch_are_violations() {
+        let stats = EngineStats {
+            events: 1,
+            commits: 2,
+            cones_built: 0,
+            cone_evals: 0,
+            events_avoided: 0,
+            checksum: 3,
+        };
+        let mut r = CompileReport {
+            workloads: vec![WorkloadRow { name: "w", interpreted: stats, compiled: stats }],
+            sliced: vec![SlicedRow { seed: 7, lanes: 64, diverged: 0, distinct_from_control: 0, mismatched: 0 }],
+        };
+        assert!(violations(&r).is_empty());
+        r.workloads[0].compiled.checksum = 4;
+        r.sliced[0].mismatched = 2;
+        assert_eq!(
+            violations(&r),
+            vec![
+                "w: compiled and interpreted engines disagree".to_string(),
+                "sliced seed 7: 2 lanes differ from their scalar replay".to_string(),
+            ]
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Network chaos campaign for end-to-end flows (`--bin flows`).
+//! Network chaos campaign for end-to-end flows (`campaign flows`).
 //!
 //! The flow layer's claim is falsifiable: windowed senders with AIMD
 //! backoff over lossy channels must deliver every payload exactly
@@ -14,9 +14,9 @@
 //! `(layout, process, protection)` the aggregate goodput and Jain
 //! index across error rates, with the integrity invariants
 //! (`accepted_corrupt == 0`, `dup_delivered == 0`, zero unflagged
-//! livelocks) asserted over *every* cell. Everything is seeded and
-//! the JSON is bytewise deterministic — CI diffs `BENCH_flows.json`
-//! against a committed fixture.
+//! livelocks) checked over *every* cell by [`violations`]. Everything
+//! is seeded and the JSON is bytewise deterministic — CI diffs
+//! `BENCH_flows.json` against a committed fixture.
 
 use sal_noc::{
     ChannelFaults, ChannelProtection, ErrorProcess, FlowConfig, FlowNetReport, FlowSpec,
@@ -174,7 +174,7 @@ pub fn run_cell(spec: CellSpec) -> FlowCell {
     FlowCell { spec, report: net.run_flows(MAX_CYCLES) }
 }
 
-/// Everything `--bin flows` reports.
+/// Everything `campaign flows` reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowsReport {
     /// All cells: the full sweep first, then the link-killer cells.
@@ -264,6 +264,71 @@ pub fn curve(
             }
         })
         .collect()
+}
+
+/// Prints the goodput-collapse / fairness curves, the link-killer
+/// cells and the integrity totals.
+pub fn print(report: &FlowsReport) {
+    println!("== flow chaos campaign: {} seeds per cell ==", SEEDS.len());
+    for layout in LAYOUTS {
+        for process in PROCESSES {
+            for protection in PROTECTIONS {
+                println!("\n-- {layout} / {process} / {} --", protection.label());
+                println!("{:>6} {:>12} {:>8} {:>10}", "rate", "goodput", "jain", "completed");
+                for row in curve(&report.cells, layout, process, protection) {
+                    println!(
+                        "{:>6.3} {:>12.6} {:>8.4} {:>9.0}%",
+                        row.rate,
+                        row.goodput,
+                        row.jain,
+                        row.completed_frac * 100.0
+                    );
+                }
+            }
+        }
+    }
+
+    println!("\n== link-killer cells (watchdog under test) ==");
+    for cell in report.cells.iter().filter(|c| c.spec.kill_links) {
+        let named = cell.report.stalls.last().map_or(0, |s| s.starved.len());
+        println!(
+            "{:<8} seed {:>3}: {:<22} cycles {:>8}  failed_links {:>2}  starved_named {}",
+            cell.spec.layout,
+            cell.spec.seed,
+            cell.outcome(),
+            cell.report.cycles,
+            cell.report.net.recovery.failed_links,
+            named
+        );
+    }
+}
+
+/// The integrity invariants over every cell: no receiver accepted a
+/// corrupted payload, none was delivered twice, and every livelock
+/// named its victims.
+pub fn violations(report: &FlowsReport) -> Vec<String> {
+    let mut v = Vec::new();
+    for c in &report.cells {
+        let tag = format!(
+            "{}/{}/{}/rate {:.3} seed {}{}",
+            c.spec.layout,
+            c.spec.process,
+            c.spec.protection.label(),
+            c.spec.rate,
+            c.spec.seed,
+            if c.spec.kill_links { " (link killer)" } else { "" }
+        );
+        if c.accepted_corrupt() > 0 {
+            v.push(format!("{tag}: a receiver accepted corrupted payload"));
+        }
+        if c.dup_delivered() > 0 {
+            v.push(format!("{tag}: a payload was delivered twice"));
+        }
+        if c.unnamed_livelock() {
+            v.push(format!("{tag}: a livelock went unnamed"));
+        }
+    }
+    v
 }
 
 fn flow_json(f: &sal_noc::FlowStats) -> String {
@@ -468,6 +533,22 @@ mod tests {
         }
         assert_eq!(cell.accepted_corrupt(), 0);
         assert_eq!(cell.dup_delivered(), 0);
+    }
+
+    #[test]
+    fn doctored_cells_are_violations() {
+        let mut cell = tiny_cell(ChannelProtection::Crc8, 0.0);
+        let mut r = FlowsReport { cells: vec![cell.clone()] };
+        assert!(violations(&r).is_empty());
+        cell.report.flows[0].counts.accepted_corrupt = 1;
+        cell.report.flows[1].counts.dup_delivered = 1;
+        cell.report.livelocked = true;
+        cell.report.stalls.clear();
+        r.cells.push(cell);
+        let v = violations(&r);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v[0].contains("accepted corrupted") && v[0].starts_with("corners/iid/crc"), "{v:?}");
+        assert!(v[1].contains("delivered twice") && v[2].contains("unnamed"), "{v:?}");
     }
 
     #[test]

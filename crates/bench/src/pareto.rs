@@ -29,6 +29,10 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
+/// Where the campaign keeps its measurement store, relative to the
+/// working directory.
+pub const STORE: &str = "target/pareto-cache.jsonl";
+
 /// Flits pushed through every cell (the paper's worst-case pattern).
 pub const CAMPAIGN_WORDS: usize = 4;
 
@@ -361,6 +365,57 @@ pub fn pareto_front(cells: &[MeasuredCell], family: LinkFamily) -> Vec<usize> {
         .collect()
 }
 
+/// Prints every measured cell and the size of each family's front.
+pub fn print(report: &ParetoReport) {
+    println!(
+        "{:<4} {:>5} {:>5} {:>5} {:>7} {:>6} {:>12} {:>10} {:>7}",
+        "link", "width", "ratio", "depth", "protect", "wires", "energy/word", "latency", "cells"
+    );
+    for cell in &report.cells {
+        let s = &cell.spec;
+        println!(
+            "{:<4} {:>5} {:>5} {:>5} {:>7} {:>6} {:>9.3} pJ {:>7.3} ns {:>7}",
+            s.family().label(),
+            s.word_width(),
+            s.serial_ratio(),
+            s.buffer_depth(),
+            s.protection().label(),
+            s.wires(),
+            cell.energy_per_word_pj,
+            cell.latency_ns,
+            cell.cells
+        );
+    }
+    println!("\n== pareto fronts (energy-per-word, latency, cells) ==");
+    for family in LinkFamily::ALL {
+        let front = pareto_front(&report.cells, family);
+        let members = report.cells.iter().filter(|c| c.spec.family() == family).count();
+        println!("{}: {} of {} cells on the front", family.label(), front.len(), members);
+    }
+}
+
+/// Every generated design point must lint clean: a cell with an
+/// error-severity finding sits on a netlist the fronts cannot trust.
+pub fn violations(report: &ParetoReport) -> Vec<String> {
+    report
+        .cells
+        .iter()
+        .filter(|c| c.lint_errors > 0)
+        .map(|c| {
+            format!(
+                "{} w{} r{} d{} {} (spec {:016x}): {} lint errors",
+                c.spec.family().label(),
+                c.spec.word_width(),
+                c.spec.serial_ratio(),
+                c.spec.buffer_depth(),
+                c.spec.protection().label(),
+                c.spec.content_hash(),
+                c.lint_errors
+            )
+        })
+        .collect()
+}
+
 /// Serialises the campaign as the `BENCH_pareto.json` artifact.
 /// Records are embedded verbatim, so a warm rerun is byte-identical.
 pub fn to_json(report: &ParetoReport, quick: bool) -> String {
@@ -492,6 +547,18 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_with_lint_errors_is_a_violation() {
+        let mut cells = vec![cell(LinkFamily::PerWord, 1.0, 1.0, 10)];
+        let mut r = ParetoReport { cells: cells.clone(), stats: CacheStats { hits: 0, misses: 1 } };
+        assert!(violations(&r).is_empty());
+        cells[0].lint_errors = 2;
+        r.cells = cells;
+        let v = violations(&r);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("I3 w32 r4") && v[0].ends_with("2 lint errors"), "{v:?}");
+    }
+
+    #[test]
     fn record_field_parser_round_trips() {
         let json = "{\"cells\": 123, \"energy_per_word_pj\": 4.567, \"latency_ns\": 0.125, \
                     \"lint_errors\": 0, \"spec_hash\": \"00ff\"}";
@@ -511,38 +578,25 @@ mod tests {
         assert_eq!(l.record, "{\"family\": \"I3\", \"cells\": 7}");
     }
 
-    /// End-to-end store behaviour on a two-cell micro-grid: a cold
-    /// run measures and fills the store, a warm rerun is 100% hits
-    /// and produces a byte-identical artifact, and an engine bump
+    /// End-to-end store behaviour on the whole quick grid: a cold run
+    /// measures and fills the store, a warm rerun is 100% hits and
+    /// produces a byte-identical artifact, and an engine bump
     /// (simulated by corrupting the stored fingerprints) re-measures.
     #[test]
     fn warm_rerun_is_all_hits_and_byte_identical() {
-        let grid = vec![
-            LinkSpec::builder()
-                .family(LinkFamily::PerWord)
-                .word_width(16)
-                .serial_ratio(2)
-                .buffer_depth(2)
-                .build()
-                .unwrap(),
-            LinkSpec::builder()
-                .family(LinkFamily::Sync)
-                .word_width(16)
-                .serial_ratio(2)
-                .buffer_depth(2)
-                .build()
-                .unwrap(),
-        ];
+        let grid = quick_grid();
+        let n = grid.len();
         let dir = std::env::temp_dir().join(format!("sal-pareto-test-{}", std::process::id()));
         let cache = dir.join("store.jsonl");
         let _ = std::fs::remove_file(&cache);
 
         let cold = campaign(&grid, &cache);
-        assert_eq!(cold.stats, CacheStats { hits: 0, misses: 2 });
+        assert_eq!(cold.stats, CacheStats { hits: 0, misses: n });
         let cold_json = to_json(&cold, true);
+        assert_eq!(cold_json, include_str!("../fixtures/BENCH_pareto.json"), "fixture drifted");
 
         let warm = campaign(&grid, &cache);
-        assert_eq!(warm.stats, CacheStats { hits: 2, misses: 0 });
+        assert_eq!(warm.stats, CacheStats { hits: n, misses: 0 });
         assert_eq!(to_json(&warm, true), cold_json, "warm artifact must be byte-identical");
 
         // A fingerprint shift (engine/generator change) is a miss.
@@ -551,7 +605,7 @@ mod tests {
             .replace("\"fp\": \"", "\"fp\": \"ffff");
         std::fs::write(&cache, poisoned).unwrap();
         let bumped = campaign(&grid, &cache);
-        assert_eq!(bumped.stats, CacheStats { hits: 0, misses: 2 });
+        assert_eq!(bumped.stats, CacheStats { hits: 0, misses: n });
         assert_eq!(to_json(&bumped, true), cold_json, "re-measure reproduces the artifact");
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,4 +1,4 @@
-//! Chaos-soak recovery campaign (`--bin recovery`).
+//! Chaos-soak recovery campaign (`campaign recovery`).
 //!
 //! The protection layer's claim is falsifiable: under a storm of
 //! seeded transient glitches on the serialized data wires, a
@@ -27,7 +27,7 @@
 //! demonstrate a milder version of it (a stale slice is parity-valid,
 //! so slice replacement slips past parity but not past the CRC).
 
-use sal_des::{FaultPlan, Time};
+use sal_des::{json_escape, FaultPlan, Time};
 use sal_link::measure::{run_spec, MeasureOptions, RunFailure};
 use sal_link::metrics::Histogram;
 use sal_link::testbench::worst_case_pattern;
@@ -77,8 +77,10 @@ impl Glitch {
     }
 }
 
-/// Deterministic xorshift64* stream for storm synthesis.
-struct Rng(u64);
+/// Deterministic xorshift64* stream for storm synthesis (shared with
+/// the sliced campaign: artifacts must be reproducible from the seed
+/// alone).
+pub(crate) struct Rng(pub(crate) u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
@@ -90,7 +92,7 @@ impl Rng {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 }
@@ -198,7 +200,7 @@ pub struct EnergyRow {
     pub overhead_pct: f64,
 }
 
-/// Everything `--bin recovery` reports.
+/// Everything `campaign recovery` reports.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// All campaign cells, in family-major, mode-middle, seed-minor
@@ -355,19 +357,66 @@ pub fn tally(cells: &[Cell], family: LinkFamily, protection: ProtectionMode, tag
         .count()
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Prints the outcome table per `(family, protection)`, the
+/// protection energy tax, and every shrunk failing storm.
+pub fn print(report: &RecoveryReport) {
+    println!("== recovery campaign: {} storm seeds per cell ==", STORM_SEEDS.len());
+    println!("{:<6} {:<8} {:>9} {:>9} {:>10} {:>9} {:>6}", "link", "protect", "recovered", "untouched", "undetected", "deadlock", "error");
+    for family in FAMILIES {
+        for protection in MODES {
+            println!(
+                "{:<6} {:<8} {:>9} {:>9} {:>10} {:>9} {:>6}",
+                family.label(),
+                protection.label(),
+                tally(&report.cells, family, protection, "recovered"),
+                tally(&report.cells, family, protection, "untouched"),
+                tally(&report.cells, family, protection, "undetected"),
+                tally(&report.cells, family, protection, "deadlock"),
+                tally(&report.cells, family, protection, "error"),
+            );
         }
     }
-    out
+
+    println!("\n== protection energy tax (clean run) ==");
+    for e in &report.energy {
+        println!(
+            "{:<6} {:<8} {:>9.1} µW  (+{:.2}%)",
+            e.family.label(),
+            e.protection.label(),
+            e.total_uw,
+            e.overhead_pct
+        );
+    }
+
+    for cell in report.cells.iter().filter(|c| c.shrunk.is_some()) {
+        println!(
+            "\nSHRUNK REPRO for failing {} / {} / seed {}: {:?}",
+            cell.family.label(),
+            cell.protection.label(),
+            cell.seed,
+            cell.shrunk.as_ref().unwrap()
+        );
+    }
+}
+
+/// The protection layer's claim: a CRC-protected cell delivers every
+/// word intact under every storm (retries allowed). Parity is not held
+/// to it — a stale slice is parity-valid.
+pub fn violations(report: &RecoveryReport) -> Vec<String> {
+    report
+        .cells
+        .iter()
+        .filter(|c| c.protection == ProtectionMode::Crc8 && c.outcome.is_failure())
+        .map(|c| {
+            format!(
+                "{} / {} / seed {}: CRC-protected link ended {}",
+                c.family.label(),
+                c.protection.label(),
+                c.seed,
+                c.outcome.tag()
+            )
+        })
+        .collect()
 }
 
 fn glitch_json(g: Glitch) -> String {
@@ -523,6 +572,29 @@ mod tests {
         let (still, _, _) =
             classify(LinkFamily::PerTransfer, ProtectionMode::Off, &minimal, 23, &words);
         assert!(still.is_failure(), "shrunk storm must still reproduce: {still:?}");
+    }
+
+    #[test]
+    fn a_failing_crc_cell_is_a_violation() {
+        let cell = |protection, outcome| Cell {
+            family: LinkFamily::PerWord,
+            protection,
+            seed: 11,
+            outcome,
+            recovery: None,
+            latency: Histogram::new(),
+            shrunk: None,
+        };
+        let mut r = RecoveryReport {
+            cells: vec![
+                cell(ProtectionMode::Crc8, Soak::Recovered),
+                cell(ProtectionMode::Parity, Soak::Undetected { violations: 1 }),
+            ],
+            energy: vec![],
+        };
+        assert!(violations(&r).is_empty(), "parity may let a stale slice through");
+        r.cells.push(cell(ProtectionMode::Crc8, Soak::Undetected { violations: 2 }));
+        assert_eq!(violations(&r), vec!["I3 / crc / seed 11: CRC-protected link ended undetected"]);
     }
 
     #[test]

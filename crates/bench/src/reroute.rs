@@ -1,4 +1,4 @@
-//! Fault-tolerant-routing chaos campaign (`--bin reroute`).
+//! Fault-tolerant-routing chaos campaign (`campaign reroute`).
 //!
 //! The reconfiguration layer's claim is falsifiable: when links die
 //! permanently, adaptive routing must recompute around them and the
@@ -204,7 +204,7 @@ pub fn quick_grid() -> Vec<CellSpec> {
         .collect()
 }
 
-/// Everything `--bin reroute` reports.
+/// Everything `campaign reroute` reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RerouteReport {
     /// All cells, in grid order.
@@ -262,11 +262,55 @@ pub fn curve(cells: &[RerouteCell], mode: &str) -> Vec<CurveRow> {
         .collect()
 }
 
-/// Asserts the campaign's acceptance surface; returns human-readable
-/// violations instead of panicking so the binary can print them all.
-pub fn violations(cells: &[RerouteCell]) -> Vec<String> {
+/// Prints the per-cell reconfiguration story and the goodput vs
+/// failed-links curve of each routing mode.
+pub fn print(report: &RerouteReport) {
+    println!("== per-cell reconfiguration story ==");
+    println!(
+        "{:<7} {:<8} {:<9} {:>4} {:<22} {:>8} {:>6} {:>6} {:>7} {:>8} {:>8} {:>8}",
+        "scen", "layout", "mode", "seed", "outcome", "cycles", "failed", "epochs", "retrain",
+        "stranded", "salvaged", "goodput"
+    );
+    for c in &report.cells {
+        println!(
+            "{:<7} {:<8} {:<9} {:>4} {:<22} {:>8} {:>6} {:>6} {:>7} {:>8} {:>8} {:>8.5}",
+            c.spec.scenario,
+            c.spec.layout,
+            c.spec.mode,
+            c.spec.seed,
+            c.outcome(),
+            c.report.cycles,
+            c.report.net.recovery.failed_links,
+            c.report.net.reconfig_epochs,
+            c.report.net.retrained_links,
+            c.report.net.stranded_packets,
+            c.report.net.salvaged_packets,
+            c.agg_goodput(),
+        );
+    }
+
+    println!("\n== goodput vs failed links ==");
+    for mode in MODES {
+        println!("-- {mode} --");
+        println!("{:>6} {:>10} {:>10} {:>10} {:>6}", "failed", "goodput", "delivered", "completed", "cells");
+        for row in curve(&report.cells, mode) {
+            println!(
+                "{:>6} {:>10.6} {:>9.0}% {:>9.0}% {:>6}",
+                row.failed_links,
+                row.goodput,
+                row.delivered_frac * 100.0,
+                row.completed_frac * 100.0,
+                row.cells
+            );
+        }
+    }
+}
+
+/// Checks the campaign's acceptance surface; returns human-readable
+/// violations instead of panicking so the caller can print them all.
+pub fn violations(report: &RerouteReport) -> Vec<String> {
     let mut v = Vec::new();
-    for c in cells {
+    for c in &report.cells {
         let tag = format!(
             "{}/{}/{} seed {}",
             c.spec.scenario, c.spec.layout, c.spec.mode, c.spec.seed
@@ -380,7 +424,7 @@ pub fn to_json(r: &RerouteReport, quick: bool) -> String {
         FLOW_PACKETS,
         MAX_CYCLES,
         seeds.join(", "),
-        violations(&r.cells).len(),
+        violations(r).len(),
         curves.join(",\n"),
         cells.join(",\n    ")
     )
@@ -407,7 +451,21 @@ mod tests {
         assert_eq!(xy.outcome(), "livelocked");
         assert!(!xy.unnamed_livelock(), "livelock must name its victims");
         assert_eq!(xy.report.net.reconfig_epochs, 0);
-        assert!(violations(&[adaptive, xy]).is_empty());
+        assert!(violations(&RerouteReport { cells: vec![adaptive, xy] }).is_empty());
+    }
+
+    #[test]
+    fn doctored_cells_are_violations() {
+        let mut adaptive = single_cell("adaptive");
+        adaptive.report.completed = false;
+        adaptive.report.net.reconfig_epochs = 0;
+        let mut xy = single_cell("xy");
+        xy.report.net.reconfig_epochs = 1;
+        let v = violations(&RerouteReport { cells: vec![adaptive, xy] });
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v[0].contains("did not complete"), "{v:?}");
+        assert!(v[1].contains("no reconfiguration epoch"), "{v:?}");
+        assert!(v[2].contains("XY must never reconfigure"), "{v:?}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Timing-margin and fault-injection experiment (`--bin margins`).
+//! Timing-margin and fault-injection experiment (`campaign robustness`).
 //!
 //! The paper's argument for serialized asynchronous links is partly a
 //! *robustness* argument: the four-phase per-transfer protocol (I2) is
@@ -25,12 +25,12 @@
 //! marginal link that silently corrupts payloads is a failure even
 //! when every word arrives.
 
-use sal_des::{FaultPlan, Time};
+use sal_des::{json_escape, json_f64, FaultPlan, Time};
 use sal_link::measure::{run_spec, MeasureOptions, RunFailure};
 use sal_link::testbench::worst_case_pattern;
 use sal_link::{LinkConfig, LinkFamily, LinkSpec};
 
-use crate::sweep;
+use crate::{sweep, table};
 
 /// Delay-derating factors swept on the scale axis.
 pub const SCALE_AXIS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 96.0, 128.0];
@@ -111,7 +111,7 @@ pub struct DeadlockDemo {
     pub report: String,
 }
 
-/// Everything `--bin margins` reports.
+/// Everything `campaign robustness` reports.
 #[derive(Debug, Clone)]
 pub struct RobustnessReport {
     /// Scale-axis probes (delay derating of the async core).
@@ -284,27 +284,87 @@ pub fn first_failure(probes: &[Probe], family: LinkFamily) -> Option<f64> {
     probes.iter().find(|p| p.family == family && p.outcome.is_failure()).map(|p| p.value)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn axis_table(title: &str, unit: &str, values: &[f64], probes: &[Probe]) {
+    println!("{title}\n");
+    let mut rows = Vec::new();
+    for &v in values {
+        let cell = |k: LinkFamily| {
+            let hits: Vec<&Probe> =
+                probes.iter().filter(|p| p.family == k && p.value == v).collect();
+            if hits.is_empty() {
+                return String::new();
+            }
+            let fails = hits.iter().filter(|p| p.outcome.is_failure()).count();
+            if fails == 0 {
+                "pass".to_string()
+            } else if hits.len() > 1 {
+                format!("fail {fails}/{}", hits.len())
+            } else {
+                match &hits[0].outcome {
+                    Outcome::Corrupt { violations } => format!("corrupt({violations})"),
+                    Outcome::Deadlock { .. } => "deadlock".to_string(),
+                    Outcome::Error { .. } => "error".to_string(),
+                    Outcome::Pass => unreachable!("counted as failure"),
+                }
+            }
+        };
+        rows.push(vec![
+            format!("{v}"),
+            cell(LinkFamily::Sync),
+            cell(LinkFamily::PerTransfer),
+            cell(LinkFamily::PerWord),
+        ]);
     }
-    out
+    print!("{}", table::render(&[unit, "I1-Synch", "I2-Asynch", "I3-Asynch"], &rows));
+    let firsts: Vec<String> = FAMILIES
+        .iter()
+        .map(|&k| {
+            let f = first_failure(probes, k)
+                .map_or_else(|| "never (survived sweep)".to_string(), |v| format!("{v}"));
+            format!("  {}: first failure at {f}", k.label())
+        })
+        .collect();
+    println!("{}\n", firsts.join("\n"));
 }
 
-fn json_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
+/// Prints the three axis tables with each family's first failure, and
+/// the deadlock watchdog demonstration.
+pub fn print(report: &RobustnessReport) {
+    println!("Margins — timing-margin & fault-injection sweep (8 worst-case flits @ 100 MHz)\n");
+    axis_table(
+        "Delay derating of the link core (switch clock fixed)",
+        "xdelay",
+        &SCALE_AXIS,
+        &report.scale,
+    );
+    axis_table(
+        "Extra skew on data wires vs req/VALID (per segment)",
+        "skew_ps",
+        &SKEW_AXIS_PS.map(|v| v as f64),
+        &report.skew,
+    );
+    axis_table("Gaussian delay variation, 3 seeds per point", "sigma", &SIGMA_AXIS, &report.sigma);
+
+    println!("Deadlock watchdog demo — {} stuck at 0:", report.deadlock_demo.forced);
+    match &report.deadlock_demo.stalled {
+        Some(s) => println!("  first stalled handshake: {s}"),
+        None => println!("  (no diagnosis!)"),
     }
+    for line in report.deadlock_demo.report.lines() {
+        println!("  | {line}");
+    }
+}
+
+/// The watchdog's claim: a wedged acknowledge yields a structured
+/// diagnosis naming the stalled handshake, not a bare timeout.
+pub fn violations(report: &RobustnessReport) -> Vec<String> {
+    if report.deadlock_demo.stalled.is_some() {
+        return Vec::new();
+    }
+    vec![format!(
+        "deadlock demo: {} stuck at 0 produced no handshake diagnosis",
+        report.deadlock_demo.forced
+    )]
 }
 
 fn json_opt_f64(v: Option<f64>) -> String {
@@ -416,5 +476,9 @@ mod tests {
             "stuck acknowledge must yield a watchdog diagnosis: {}",
             demo.report
         );
+        let mut r = RobustnessReport { scale: vec![], skew: vec![], sigma: vec![], deadlock_demo: demo };
+        assert!(violations(&r).is_empty());
+        r.deadlock_demo.stalled = None;
+        assert_eq!(violations(&r).len(), 1, "an undiagnosed deadlock is a violation");
     }
 }

@@ -1,5 +1,5 @@
-//! Bit-sliced multi-seed glitch campaign (`--bin compile` report,
-//! fidelity tests).
+//! Bit-sliced multi-seed glitch campaign (the `compile` campaign's
+//! sliced section, fidelity tests).
 //!
 //! A robustness campaign replays the same link under many glitch
 //! seeds. The sliced engine packs up to 64 seeds into the bit-planes
@@ -30,6 +30,8 @@ use sal_link::testbench::{
 };
 use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec};
 
+use crate::recovery::Rng;
+
 /// Words streamed per campaign run.
 pub const WORDS: usize = 16;
 
@@ -50,25 +52,6 @@ pub struct Site {
     pub at_ps: u64,
     /// Upset width, picoseconds.
     pub width_ps: u64,
-}
-
-/// Deterministic xorshift64* stream (campaign artifacts must be
-/// reproducible from the seed alone).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
 }
 
 /// Synthesizes the shared site list: [`SITES`] windows spread across

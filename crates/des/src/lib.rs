@@ -69,6 +69,7 @@ mod component;
 mod error;
 mod event;
 mod fault;
+mod json;
 mod netgraph;
 mod scope;
 mod signal;
@@ -85,6 +86,7 @@ pub use compile::{CombFunc, CombSpec, SpecOp};
 pub use component::{Component, ComponentId, Ctx};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultPlan, Glitch, SkewRule, StuckAt};
+pub use json::{json_escape, json_f64};
 pub use netgraph::{
     BundleParams, CellClass, NetBundle, NetCapture, NetComponent, NetGraph, NetSignal, NetWatch,
 };

@@ -26,7 +26,7 @@
 
 use std::io::{self, Write};
 
-use crate::{Logic, SignalId, Simulator, Time, Value};
+use crate::{json_escape, Logic, SignalId, Simulator, Time, Value};
 
 /// One committed signal transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -237,7 +237,7 @@ pub fn write_jsonl_record<W: Write>(
         w,
         "{{\"t_fs\":{},\"sig\":\"{}\",\"old\":\"{}\",\"new\":\"{}\"}}",
         rec.time.as_fs(),
-        signal_path(signals, rec.signal),
+        json_escape(signal_path(signals, rec.signal)),
         fmt_bits(&rec.old),
         fmt_bits(&rec.new),
     )
@@ -423,6 +423,23 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\"sig\":\"a\""));
         assert!(text.contains("\"sig\":\"blk.b\""));
+    }
+
+    #[test]
+    fn jsonl_escapes_signal_paths_in_both_writers() {
+        let signals =
+            vec![TraceSignalMeta { path: "a\"b\\c".into(), width: 4, energy_per_toggle_fj: 1.0 }];
+        let expected = "{\"t_fs\":7,\"sig\":\"a\\\"b\\\\c\",\"old\":\"0000\",\"new\":\"0001\"}\n";
+
+        let dump = TraceDump { signals: signals.clone(), records: vec![rec(7, 0, 0, 1)] };
+        let mut out = Vec::new();
+        dump.write_jsonl(&mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+
+        let mut sink = JsonlSink::new(Vec::new());
+        sink.install(&signals);
+        sink.record(&rec(7, 0, 0, 1));
+        assert_eq!(String::from_utf8(sink.finish().unwrap()).unwrap(), expected);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! Everything here is deterministic: two identical runs produce
 //! byte-identical [`LinkMetrics::to_json`] output.
 
-use sal_des::{Logic, SignalId, Time};
-use sal_des::TraceDump;
+use sal_des::{json_escape, json_f64, Logic, SignalId, Time, TraceDump};
 
 use crate::LinkFamily;
 
@@ -477,29 +476,6 @@ fn burst_stats(dump: &TraceDump, family: LinkFamily, scope: &str) -> Option<Burs
         last_rise = Some(rec.time);
     }
     Some(BurstStats { strobe_path, slices, gap })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
 }
 
 impl LinkMetrics {

@@ -10,6 +10,8 @@ use std::rc::Rc;
 
 use sal_des::{CellClass, Component, ComponentId, Ctx, Logic, SignalId, Simulator, Time, Value};
 
+use crate::{LinkConfig, WordRxStyle};
+
 /// A shared recording of `(time, word)` observations.
 pub type Record = Rc<RefCell<Vec<(Time, u64)>>>;
 
@@ -440,6 +442,23 @@ pub fn worst_case_pattern(count: usize, width: u8) -> Vec<u64> {
             }
         })
         .collect()
+}
+
+/// The configuration corners the robustness and power sweeps visit:
+/// the paper point plus one departure each. The lint campaign and the
+/// clean-netlist tests lint every link family at each of them.
+pub fn lint_corners() -> Vec<(&'static str, LinkConfig)> {
+    let base = LinkConfig::default();
+    vec![
+        ("default", base.clone()),
+        ("buffers=2", LinkConfig { buffers: 2, ..base.clone() }),
+        ("buffers=8", LinkConfig { buffers: 8, ..base.clone() }),
+        ("slice=16", LinkConfig { slice_width: 16, ..base.clone() }),
+        ("slice=4", LinkConfig { slice_width: 4, ..base.clone() }),
+        ("clk=300MHz", LinkConfig { clk_period: Time::from_ns_f64(10.0 / 3.0), ..base.clone() }),
+        ("rx=demux", LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() }),
+        ("early_ack", LinkConfig { early_word_ack: true, ..base }),
+    ]
 }
 
 #[cfg(test)]

@@ -2,14 +2,14 @@
 //! the configuration corners the sweeps exercise, must lint with zero
 //! error-severity findings — the static bundled-data margins the
 //! timing pass computes must agree with the *simulated* skew margins
-//! recorded in `BENCH_robustness.json`, and with independent
-//! shortest/longest-path oracles over the same netlists.
+//! recorded in the committed `crates/bench/fixtures/BENCH_robustness.json`,
+//! and with independent shortest/longest-path oracles over the same
+//! netlists.
 
 use sal_cells::CircuitBuilder;
 use sal_des::{CellClass, NetComponent, NetGraph, SignalId, Simulator};
-use sal_link::{
-    generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, RetryConfig, WordRxStyle,
-};
+use sal_link::testbench::lint_corners;
+use sal_link::{generate, LinkConfig, LinkFamily, LinkSpec, ProtectionMode, RetryConfig};
 use sal_lint::{run_all, timing_margins, TimingMargin};
 use sal_tech::St012Library;
 
@@ -28,31 +28,10 @@ fn lint_of(family: LinkFamily, cfg: &LinkConfig) -> (sal_lint::LintReport, Vec<T
     (run_all(&graph), timing_margins(&graph))
 }
 
-/// The configuration corners the robustness and power sweeps visit.
-fn corners() -> Vec<(String, LinkConfig)> {
-    let base = LinkConfig::default();
-    vec![
-        ("default".into(), base.clone()),
-        ("buffers=2".into(), LinkConfig { buffers: 2, ..base.clone() }),
-        ("buffers=8".into(), LinkConfig { buffers: 8, ..base.clone() }),
-        ("slice=16".into(), LinkConfig { slice_width: 16, ..base.clone() }),
-        ("slice=4".into(), LinkConfig { slice_width: 4, ..base.clone() }),
-        (
-            "clk=300MHz".into(),
-            LinkConfig { clk_period: sal_des::Time::from_ns_f64(10.0 / 3.0), ..base.clone() },
-        ),
-        (
-            "rx=demux".into(),
-            LinkConfig { word_rx_style: WordRxStyle::Demux, ..base.clone() },
-        ),
-        ("early_ack".into(), LinkConfig { early_word_ack: true, ..base }),
-    ]
-}
-
 #[test]
 fn clean_links_have_zero_lint_errors_across_corners() {
     for kind in [LinkFamily::Sync, LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let (report, _) = lint_of(kind, &cfg);
             assert!(
                 !report.has_errors(),
@@ -67,7 +46,7 @@ fn clean_links_have_zero_lint_errors_across_corners() {
 #[test]
 fn async_links_have_positive_static_margins() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let (_, margins) = lint_of(kind, &cfg);
             assert!(
                 !margins.is_empty(),
@@ -94,7 +73,7 @@ fn async_links_have_positive_static_margins() {
 #[test]
 fn async_link_margins_carry_generator_params() {
     for kind in [LinkFamily::PerTransfer, LinkFamily::PerWord] {
-        for (label, cfg) in corners() {
+        for (label, cfg) in lint_corners() {
             let spec = LinkSpec::from_config(kind, &cfg).expect("corner configs are valid specs");
             let (_, margins) = lint_of(kind, &cfg);
             for m in &margins {
@@ -150,12 +129,8 @@ fn first_failures(json: &str, section: &str) -> Option<[Option<f64>; 3]> {
 /// failure mode is the clock period, not a matched delay).
 #[test]
 fn static_margins_reconcile_with_simulated_robustness() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robustness.json");
-    let Ok(json) = std::fs::read_to_string(path) else {
-        eprintln!("BENCH_robustness.json not present; skipping reconciliation");
-        return;
-    };
-    let ff = first_failures(&json, "data_skew_ps")
+    let json = include_str!("../../bench/fixtures/BENCH_robustness.json");
+    let ff = first_failures(json, "data_skew_ps")
         .expect("data_skew_ps.first_failure parses");
     let [i1, i2, i3] = ff;
 

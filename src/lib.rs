@@ -20,7 +20,8 @@
 //! See `README.md` for a guided tour, `DESIGN.md` for the system
 //! inventory and `EXPERIMENTS.md` for the paper-versus-measured
 //! results. The runnable entry points live in `examples/` and in the
-//! `sal-bench` crate's binaries (one per figure/table of the paper).
+//! `sal-bench` crate's two binaries: `experiments` (the paper's
+//! figures and tables) and `campaign` (the extension campaigns).
 //!
 //! ## Quickstart
 //!
